@@ -130,7 +130,7 @@ pub struct CachedPlan {
     pub classification: DcqClassification,
     /// The one-shot evaluation strategy (Table 1).
     pub strategy: Strategy,
-    /// The maintenance strategy (difference-linear → rerun, hard → counting).
+    /// The maintenance strategy the planner prescribes (counting, for every class).
     pub incremental: IncrementalStrategy,
 }
 

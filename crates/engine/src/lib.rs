@@ -10,10 +10,11 @@
 //!
 //! This is the production shape Berkholz, Keppeler & Schweikardt's *Answering
 //! Conjunctive Queries under Updates* frames — a dynamic database serving many
-//! standing queries — applied to the DCQ dichotomy of Hu & Wang: each view is
-//! maintained by touched-side rerun (difference-linear) or counting delta joins
-//! (hard), but the store, the batch normalization, the epoch counter and the
-//! update log exist **once**, not once per view:
+//! standing queries — applied to the DCQs of Hu & Wang: each view is
+//! maintained by counting delta joins (the planner's choice for every class)
+//! or, where a caller names it, touched-side rerun, but the store, the batch
+//! normalization, the epoch counter and the update log exist **once**, not once
+//! per view:
 //!
 //! ```text
 //!                      ┌────────────────────────────────────────┐
@@ -41,8 +42,8 @@
 //!
 //! ## Adaptive maintenance
 //!
-//! The dichotomy picks a maintenance strategy *structurally*; the observed
-//! workload can disagree (counting cost scales with `|Δ|`, a rerun is flat in
+//! The planner maintains every view by counting; a workload of very large
+//! batches can disagree (counting cost scales with `|Δ|`, a rerun is flat in
 //! it).  Views registered through [`DcqEngine::register_adaptive`] are managed
 //! by a policy instead: the engine tracks every batch's effective size
 //! relative to the store ([`BatchStats`]) and, when the EWMA delta fraction
@@ -61,7 +62,9 @@
 //! read-only and parallel: every distinct view folds the shared
 //! [`AppliedBatch`](dcq_storage::AppliedBatch) against the now-immutable store
 //! (`&`-borrowed, so nothing can move underneath the workers), distributed
-//! over a [worker pool](DcqEngine::set_workers) of scoped threads.  Pooled
+//! over a [worker pool](DcqEngine::set_workers) — the calling thread plus
+//! persistent, process-wide helper threads; no thread is created per batch
+//! (`dcq_storage::fanout`).  Pooled
 //! counting sides are folded exactly once per epoch by whichever worker takes
 //! their lock first — the fold is a pure function of `(state, batch)`, so
 //! results, stats and counters are **bit-identical** to the sequential path
@@ -814,7 +817,7 @@ impl DcqEngine {
     }
 
     /// Register with an explicitly forced maintenance strategy (benchmarks and
-    /// tests; production callers should trust the dichotomy).  Sharing applies
+    /// tests; production callers should trust the planner).  Sharing applies
     /// per (shape, strategy): the same query forced to a different strategy gets
     /// its own view.
     pub fn register_with(&mut self, dcq: Dcq, strategy: IncrementalStrategy) -> Result<ViewHandle> {
@@ -1040,11 +1043,10 @@ impl DcqEngine {
             .enumerate()
             .filter_map(|(slot, entry)| entry.as_mut().map(|shared| (slot, shared)))
             .collect();
-        // Spawning workers only pays when at least two views have real
+        // Waking a helper only pays when at least two views have real
         // maintenance to do this batch; a trickle or irrelevant batch (every
-        // view skips, or only one folds) runs inline, spawning nothing —
-        // worker choice is pure scheduling either way, so this never changes
-        // an observable.
+        // view skips, or only one folds) runs inline — worker choice is pure
+        // scheduling either way, so this never changes an observable.
         let working = tasks
             .iter()
             .filter(|(_, shared)| {
@@ -1172,8 +1174,8 @@ impl DcqEngine {
     /// old engine's pooled sides and registry index references are released.
     ///
     /// Returns `false` when the view already runs `target`.  Passing
-    /// [`IncrementalStrategy::Adaptive`] migrates back to the dichotomy's
-    /// structural choice.  The declared strategy — and with it the view-sharing
+    /// [`IncrementalStrategy::Adaptive`] migrates back to the planner's
+    /// choice, counting.  The declared strategy — and with it the view-sharing
     /// key — never changes; results are strategy-independent, so handles
     /// sharing the view observe nothing but a different cost profile.
     pub fn migrate(&mut self, handle: ViewHandle, target: IncrementalStrategy) -> Result<bool> {
@@ -1774,14 +1776,20 @@ mod tests {
         let mut engine = engine();
         let easy = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
         let hard = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        assert_eq!(engine.view_count(), 2);
+        // The rerun arm runs only where a caller names it.
+        let rerun = engine
+            .register_with(parse_dcq(EASY).unwrap(), IncrementalStrategy::EasyRerun)
+            .unwrap();
+        assert_eq!(engine.view_count(), 3);
+        for handle in [easy, hard] {
+            assert_eq!(
+                engine.view(handle).unwrap().strategy(),
+                IncrementalStrategy::Counting
+            );
+        }
         assert_eq!(
-            engine.view(easy).unwrap().strategy(),
+            engine.view(rerun).unwrap().strategy(),
             IncrementalStrategy::EasyRerun
-        );
-        assert_eq!(
-            engine.view(hard).unwrap().strategy(),
-            IncrementalStrategy::Counting
         );
 
         let mut batch = DeltaBatch::new();
@@ -1791,11 +1799,11 @@ mod tests {
         batch.delete("Edge", int_row([2, 4]));
         let report = engine.apply(&batch).unwrap();
         assert_eq!(report.epoch, 1);
-        assert_eq!(report.views_applied, 2);
+        assert_eq!(report.views_applied, 3);
         assert_eq!(report.effect.inserted, 3);
         assert_eq!(report.effect.deleted, 1);
 
-        for handle in [easy, hard] {
+        for handle in [easy, hard, rerun] {
             let view = engine.view(handle).unwrap();
             let expected =
                 baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
@@ -1834,7 +1842,8 @@ mod tests {
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.entries, 1);
         assert_eq!(first.strategy(), second.strategy());
-        assert!(first.explain().contains("touched-side rerun"));
+        assert_eq!(first.strategy(), IncrementalStrategy::Counting);
+        assert!(first.explain().contains("counting maintenance"));
 
         // Registering both preparations yields distinct handles over ONE shared
         // maintained view.
@@ -2571,7 +2580,11 @@ mod tests {
         let mut engine = engine();
         engine.set_workers(2);
         let hard = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        let easy = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
+        // One rerun view beside the counting one, so the exposition covers a
+        // view that holds no pooled side.
+        let easy = engine
+            .register_with(parse_dcq(EASY).unwrap(), IncrementalStrategy::EasyRerun)
+            .unwrap();
         let mut batch = DeltaBatch::new();
         batch.insert("Graph", int_row([5, 2]));
         batch.delete("Edge", int_row([1, 3]));

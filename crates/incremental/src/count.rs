@@ -1019,6 +1019,24 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn probe_path_allocates_no_rows() {
+        // `row_allocations` is process-wide and sibling tests allocate rows
+        // while this one measures.  Their noise can only add to a reading, so
+        // an upper bound that holds on any attempt holds; retry past the noise.
+        let mut last = String::new();
+        for _ in 0..50 {
+            match probe_path_row_allocations() {
+                Ok(()) => return,
+                Err(over) => last = over,
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        panic!("{last}");
+    }
+
+    /// One measurement for `probe_path_allocates_no_rows`: `Err` names the
+    /// bound a reading exceeded.
+    #[cfg(feature = "telemetry")]
+    fn probe_path_row_allocations() -> std::result::Result<(), String> {
         use dcq_storage::row_allocations;
         let mut store = store();
         let cq = parse_cq("P(x, z) :- Graph(x, y), Graph(y, z)").unwrap();
@@ -1028,11 +1046,12 @@ mod tests {
         let mut engine = CountingCq::from_store(cq.clone(), cq.head_schema(), &mut store).unwrap();
         let seeded = row_allocations() - before;
         let heads = engine.counts_ids().len() as u64;
-        assert!(
-            seeded <= heads,
-            "seed fold allocated {seeded} rows for {heads} head tuples — \
-             the probe path must allocate zero rows per probe"
-        );
+        if seeded > heads {
+            return Err(format!(
+                "seed fold allocated {seeded} rows for {heads} head tuples — \
+                 the probe path must allocate zero rows per probe"
+            ));
+        }
         assert!(engine.telemetry().index_probes > 0, "probes did happen");
 
         // A batch fold likewise allocates only delta-resolution rows (plus the
@@ -1051,11 +1070,13 @@ mod tests {
         // memoized clone: all delta-proportional.  8 tuples of traffic must
         // stay far below the dozens a per-probe materialization would cost.
         let bound = 4 * (batch.len() as u64 + delta.len() as u64) + 8;
-        assert!(
-            allocated <= bound,
-            "fold allocated {allocated} rows (bound {bound}) — probe path is not row-free"
-        );
+        if allocated > bound {
+            return Err(format!(
+                "fold allocated {allocated} rows (bound {bound}) — probe path is not row-free"
+            ));
+        }
         engine.release_indexes(&mut store);
+        Ok(())
     }
 
     #[test]

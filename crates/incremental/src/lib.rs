@@ -8,24 +8,27 @@
 //! planner's one-shot pipeline per request, this crate registers the DCQ once as a
 //! [`DcqView`] and keeps its result current as signed tuple deltas
 //! ([`dcq_storage::DeltaBatch`]) stream in, in the spirit of Berkholz, Keppeler &
-//! Schweikardt, *Answering Conjunctive Queries under Updates* (PODS 2017), combined
-//! with the difference-linear dichotomy (Theorem 2.4):
+//! Schweikardt, *Answering Conjunctive Queries under Updates* (PODS 2017).  Two
+//! engines exist:
 //!
-//! * **difference-linear DCQs** ([`IncrementalStrategy::EasyRerun`]): a full rerun is
-//!   already linear `O(N + OUT)`, so maintenance materializes both sides and re-runs
-//!   only the sides (partitions of the atom set) whose relations a batch touched;
-//!   batches touching nothing relevant are `O(1)` no-ops;
-//! * **hard DCQs** ([`IncrementalStrategy::Counting`]): a rerun pays a super-linear
-//!   cost per batch, so maintenance falls back to classic counting IVM — per-tuple
-//!   support counts on both sides, updated by ℤ-annotated, index-backed delta joins
-//!   ([`CountingCq`]) whose cost scales with the delta size.  A tuple enters the
-//!   result exactly when its `Q₁` count rises above zero while its `Q₂` count is
-//!   zero, and leaves when either condition flips.
+//! * **counting** ([`IncrementalStrategy::Counting`], the planner's choice for
+//!   difference-linear and hard DCQs alike): classic counting IVM — per-tuple support
+//!   counts on both sides, updated by ℤ-annotated, index-backed delta joins
+//!   ([`CountingCq`]) whose cost scales with the delta size, not the store.  A tuple
+//!   enters the result exactly when its `Q₁` count rises above zero while its `Q₂`
+//!   count is zero, and leaves when either condition flips;
+//! * **touched-side rerun** ([`IncrementalStrategy::EasyRerun`]): materialize both
+//!   sides and re-run only the sides (partitions of the atom set) whose relations a
+//!   batch touched.  For a difference-linear DCQ (Theorem 2.4) a rerun is linear,
+//!   `O(N + OUT)` — but that is paid per batch, so it only beats counting once a
+//!   batch rewrites a large share of the store (recorded crossover ≈ `0.6·N`).  It
+//!   runs only where a caller names it or the adaptive policy migrates to it.
 //!
 //! The strategy is chosen by [`dcq_core::planner::DcqPlanner::plan_incremental`] and
 //! can be forced per registration; both engines are update-equivalent to full
 //! recomputation (the property tests in `tests/incremental_maintenance.rs` assert
-//! byte-identical results over randomized insert/delete sequences).
+//! byte-identical results over randomized insert/delete sequences, and check the
+//! default path against an independent nested-loop reference).
 //!
 //! ## Shared-store views, shared indexes
 //!

@@ -8,11 +8,12 @@
 //! [`AppliedBatch`] — epoch plus *normalized* per-relation deltas — to every
 //! view in turn:
 //!
-//! * **counting views** fold the normalized deltas into their per-side support
-//!   counts ([`CountingCq`]), probing the store's shared indexes —
-//!   `O(|Δ| · fan-out)` per view, independent of `N`, with per-view state
-//!   reduced to the two count maps;
-//! * **rerun views** (difference-linear DCQs) re-evaluate only the sides whose
+//! * **counting views** (the planner's choice for every DCQ class) fold the
+//!   normalized deltas into their per-side support counts ([`CountingCq`]),
+//!   probing the store's shared indexes — `O(|Δ| · fan-out)` per view,
+//!   independent of `N`, with per-view state reduced to the two count maps;
+//! * **rerun views** (only when a caller names [`IncrementalStrategy::EasyRerun`]
+//!   or the adaptive policy migrates there) re-evaluate only the sides whose
 //!   relations the batch effectively changed, directly against the shared store.
 //!
 //! Either way the view records the store epoch of every offered batch — including
@@ -121,7 +122,7 @@ pub struct DcqView {
     /// The engine kind currently running (always `EasyRerun` or `Counting`):
     /// equal to `plan.strategy` for concrete plans; for
     /// [`IncrementalStrategy::Adaptive`] plans initially the caller's prior
-    /// kind (falling back to the dichotomy's structural choice), then whatever
+    /// kind (falling back to the planner's choice, counting), then whatever
     /// [`DcqView::migrate`] last switched to.
     active: IncrementalStrategy,
     /// Referenced stored relations, sorted and deduplicated.
@@ -212,7 +213,7 @@ impl DcqView {
         referenced.dedup();
 
         // An adaptive plan starts on the caller's initial kind (the engine's
-        // cost-model prior) or, absent one, the dichotomy's structural choice;
+        // cost-model prior) or, absent one, the planner's choice (counting);
         // the engine's policy loop migrates the view as batch statistics
         // accrue.
         let active = match plan.strategy {
@@ -521,8 +522,8 @@ impl DcqView {
     /// references (each freed only when this view was its last holder).
     ///
     /// Returns `false` when `target` is already active (no work done).
-    /// `IncrementalStrategy::Adaptive` as a target means "the dichotomy's
-    /// structural choice".  Migration never changes the result: the rebuilt
+    /// `IncrementalStrategy::Adaptive` as a target means "the planner's
+    /// choice", i.e. counting.  Migration never changes the result: the rebuilt
     /// state derives the identical membership set from the same store epoch
     /// (asserted in debug builds, and what `tests/adaptive_migration.rs` pins
     /// down release-mode too).
@@ -836,12 +837,22 @@ mod tests {
         DcqView::build(dcq, plan, store).unwrap()
     }
 
+    /// The rerun arm is never the planner's choice; tests name it.
+    fn build_rerun(src: &str, store: &mut SharedDatabase) -> DcqView {
+        let dcq = parse_dcq(src).unwrap();
+        let mut plan = DcqPlanner::smart().plan_incremental(&dcq);
+        plan.strategy = IncrementalStrategy::EasyRerun;
+        DcqView::build(dcq, plan, store).unwrap()
+    }
+
     #[test]
     fn views_follow_the_store_and_match_recomputation() {
         let mut store = store();
         let mut easy = build(EASY, &mut store);
+        let mut rerun = build_rerun(EASY, &mut store);
         let mut hard = build(HARD, &mut store);
-        assert_eq!(easy.strategy(), IncrementalStrategy::EasyRerun);
+        assert_eq!(easy.strategy(), IncrementalStrategy::Counting);
+        assert_eq!(rerun.strategy(), IncrementalStrategy::EasyRerun);
         assert_eq!(hard.strategy(), IncrementalStrategy::Counting);
         assert!(easy.references("Graph") && !easy.references("Other"));
         assert_eq!(
@@ -872,7 +883,7 @@ mod tests {
         ];
         for batch in &batches {
             let applied = store.apply_batch(batch).unwrap();
-            for view in [&mut easy, &mut hard] {
+            for view in [&mut easy, &mut rerun, &mut hard] {
                 let outcome = view.apply(&applied, &store).unwrap();
                 assert_eq!(outcome.epoch, store.epoch());
                 assert_eq!(view.epoch(), store.epoch());
@@ -886,7 +897,13 @@ mod tests {
             }
         }
         assert_eq!(easy.stats().batches_applied, 3);
-        assert!(easy.stats().side_recomputes > 0);
+        assert_eq!(
+            easy.stats().side_recomputes,
+            0,
+            "counting never reruns a side"
+        );
+        assert_eq!(rerun.stats().batches_applied, 3);
+        assert!(rerun.stats().side_recomputes > 0);
         // The first batch only touched Triple, which the hard view does not read.
         assert_eq!(hard.stats().batches_skipped, 1);
         assert_eq!(hard.stats().batches_applied, 2);
@@ -925,7 +942,7 @@ mod tests {
         a.teardown(&mut store);
         assert_eq!(store.index_count(), 0, "last teardown frees the registry");
         // Tearing down a rerun view is a no-op.
-        let mut easy = build(EASY, &mut store);
+        let mut easy = build_rerun(EASY, &mut store);
         easy.teardown(&mut store);
         assert_eq!(store.index_count(), 0);
     }
@@ -1010,17 +1027,14 @@ mod tests {
         let mut store = store();
         let mut cache = PlanCache::new();
         let mut pool = CountingPool::new();
-        for (src, structural) in [
-            (EASY, IncrementalStrategy::EasyRerun),
-            (HARD, IncrementalStrategy::Counting),
-        ] {
+        for src in [EASY, HARD] {
             let dcq = parse_dcq(src).unwrap();
             let plan = DcqPlanner::smart().plan_adaptive(&dcq);
             let mut view =
                 DcqView::build_shared(dcq, plan, &mut store, &mut cache, &mut pool).unwrap();
             assert_eq!(view.strategy(), IncrementalStrategy::Adaptive);
-            assert_eq!(view.active_strategy(), structural);
-            // Migrating "to Adaptive" re-targets the structural choice: a no-op
+            assert_eq!(view.active_strategy(), IncrementalStrategy::Counting);
+            // Migrating "to Adaptive" re-targets the planner's choice: a no-op
             // here since nothing has migrated away yet.
             assert!(!view
                 .migrate(
@@ -1030,6 +1044,21 @@ mod tests {
                     &mut pool
                 )
                 .unwrap());
+            // ... and brings a view that was moved to rerun back to counting.
+            let before = view.result(&store).sorted_rows();
+            for (target, lands_on) in [
+                (
+                    IncrementalStrategy::EasyRerun,
+                    IncrementalStrategy::EasyRerun,
+                ),
+                (IncrementalStrategy::Adaptive, IncrementalStrategy::Counting),
+            ] {
+                assert!(view
+                    .migrate(target, &mut store, &mut cache, &mut pool)
+                    .unwrap());
+                assert_eq!(view.active_strategy(), lands_on);
+                assert_eq!(view.result(&store).sorted_rows(), before);
+            }
             view.teardown(&mut store);
             pool.prune();
         }
@@ -1058,7 +1087,10 @@ mod tests {
         // A row holding a value the dictionary has never seen cannot belong.
         assert!(!view.contains(&int_row([999_999, 0, 0]), &store));
         assert!(format!("{view:?}").contains("DcqView"));
-        assert!(view.explain().contains("touched-side rerun"));
+        assert!(view.explain().contains("counting maintenance"));
+        assert!(build_rerun(EASY, &mut store)
+            .explain()
+            .contains("touched-side rerun"));
         assert_eq!(view.plan().strategy, view.strategy());
         assert_eq!(view.epoch(), 0);
     }

@@ -6,12 +6,12 @@
 //! cargo run --release --example incremental_updates [batch_tuples] [batches]
 //! ```
 //!
-//! The demo registers an easy query (`Q_G3`, maintained by touched-side rerun) and
-//! a hard one (`Q_G5`, maintained by counting delta joins) on one [`DcqEngine`]
-//! over a synthetic graph, then applies a randomized insert/delete workload with a
-//! single `engine.apply(batch)` per batch — one normalization pass, one store
-//! update, every view maintained — verifying at the end that each maintained
-//! result matches the planner's one-shot evaluation.
+//! The demo registers an easy query (`Q_G3`) and a hard one (`Q_G5`), both
+//! maintained by counting delta joins, on one [`DcqEngine`] over a synthetic
+//! graph, then applies a randomized insert/delete workload with a single
+//! `engine.apply(batch)` per batch — one normalization pass, one store update,
+//! every view maintained — verifying at the end that each maintained result
+//! matches the planner's one-shot evaluation.
 
 use dcq_core::planner::DcqPlanner;
 use dcq_datagen::datasets::build_dataset;

@@ -140,12 +140,13 @@ fn long_workload_keeps_every_view_exact_over_120_batches() {
         engine.register_dcq(graph_query(GraphQueryId::QG5)).unwrap(),
         engine.register_dcq(graph_query(GraphQueryId::QG1)).unwrap(),
     ];
-    // Force the off-dichotomy strategies too: both engines must stay exact.
+    // Force the rerun arm too, on an easy and a hard query: both engines
+    // must stay exact.
     handles.push(
         engine
             .register_with(
                 graph_query(GraphQueryId::QG3),
-                IncrementalStrategy::Counting,
+                IncrementalStrategy::EasyRerun,
             )
             .unwrap(),
     );

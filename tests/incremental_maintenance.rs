@@ -1,6 +1,6 @@
 //! Incremental maintenance ≡ full recomputation (single-view engines).
 //!
-//! Two complementary suites:
+//! Three complementary suites:
 //!
 //! * a **property test** applying proptest-generated insert/delete batches to
 //!   engine-hosted single views of easy and hard DCQs under *both* maintenance
@@ -8,7 +8,12 @@
 //!   byte-identical to the vanilla baseline recomputation;
 //! * a **deterministic long-run test** streaming 120 generator-produced batches
 //!   (`dcq_datagen::update_workload`) through easy and hard views over a synthetic
-//!   graph, checking the same invariant — this is the ≥100-batch acceptance gate.
+//!   graph, checking the same invariant — this is the ≥100-batch acceptance gate;
+//! * a **reference check** of the default registration path (`register_dcq`:
+//!   counting, for every class) on the difference-linear `Q_G1`–`Q_G4` and
+//!   `Q_G6` against `dcqx::testkit::naive_dcq` — nested loops and a set
+//!   difference that share no operator with the engine — after every batch, at
+//!   worker widths 1 and 2.
 //!
 //! Each view runs in its own `DcqEngine` — the post-shim shape of the
 //! single-client deployment (the `MaintainedDcq` shim these suites used to
@@ -23,8 +28,10 @@ use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{graph_query, update_workload, Graph, GraphQueryId, TripleRuleMix, UpdateSpec};
 use dcq_engine::DcqEngine;
 use dcq_storage::row::int_row;
-use dcq_storage::{Database, DeltaBatch, Relation};
+use dcq_storage::{Database, DeltaBatch, Relation, Value};
+use dcqx::testkit::naive_dcq;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The maintained queries: a mix of difference-linear and hard DCQs so both
 /// maintenance engines are exercised on every generated update sequence.
@@ -163,8 +170,72 @@ fn long_workload_stays_exact_over_120_batches() {
     }
 }
 
-/// The planner's automatic registration (strategy from the dichotomy) survives a
-/// mixed workload that also touches unreferenced relations.
+/// What the default registration path maintains equals what an evaluator
+/// sharing no code with it computes: the difference-linear graph queries,
+/// registered through `register_dcq`, against nested loops and a `BTreeSet`
+/// difference — at registration and after every batch, inline and fanned out.
+#[test]
+fn default_registration_matches_the_naive_reference_after_every_batch() {
+    let data = build_dataset(
+        "reference-test",
+        Graph::uniform(100, 200, 5),
+        0.5,
+        TripleRuleMix::balanced(),
+        9,
+    );
+    let spec = UpdateSpec::new(12, 10, &["Graph", "Triple"]);
+    let batches = update_workload(&data.db, &spec, 2027);
+    for workers in [1, 2] {
+        for id in [
+            GraphQueryId::QG1,
+            GraphQueryId::QG2,
+            GraphQueryId::QG3,
+            GraphQueryId::QG4,
+            GraphQueryId::QG6,
+        ] {
+            let mut engine = DcqEngine::with_database(data.db.clone());
+            engine.set_workers(workers);
+            let handle = engine.register_dcq(graph_query(id)).unwrap();
+            let view = engine.view(handle).unwrap();
+            assert!(view.plan().classification.is_difference_linear());
+            assert_eq!(view.active_strategy(), IncrementalStrategy::Counting);
+            let check = |engine: &DcqEngine, at: &str| {
+                let maintained: BTreeSet<Vec<Value>> = engine
+                    .result(handle)
+                    .unwrap()
+                    .iter()
+                    .map(|row| row.values().to_vec())
+                    .collect();
+                let dcq = engine.view(handle).unwrap().dcq();
+                let reference = naive_dcq(dcq, engine.database());
+                assert_eq!(
+                    maintained,
+                    reference,
+                    "{} at {workers} worker(s) diverged from the naive reference {at}",
+                    id.name()
+                );
+                reference.len()
+            };
+            let mut sizes = vec![check(&engine, "at registration")];
+            for (step, batch) in batches.iter().enumerate() {
+                engine.apply(batch).unwrap();
+                sizes.push(check(&engine, &format!("after batch {step}")));
+            }
+            // The comparison must not be of empty sets or of a result the
+            // update stream never moves.
+            assert!(sizes.iter().all(|&n| n > 0), "{}: {sizes:?}", id.name());
+            assert!(
+                sizes.windows(2).any(|w| w[0] != w[1]),
+                "{}: {sizes:?}",
+                id.name()
+            );
+        }
+    }
+}
+
+/// The planner's automatic registration (counting, whatever the class) and a
+/// rerun view named at registration both survive a mixed workload that also
+/// touches unreferenced relations.
 #[test]
 fn auto_registered_views_skip_unreferenced_relations() {
     let mut db = Database::new();
@@ -184,27 +255,41 @@ fn auto_registered_views_skip_unreferenced_relations() {
         .unwrap();
 
     let mut engine = DcqEngine::with_database(db);
-    let handle = engine.register_dcq(graph_query(GraphQueryId::QG3)).unwrap();
+    let auto = engine.register_dcq(graph_query(GraphQueryId::QG3)).unwrap();
+    let rerun = engine
+        .register_with(
+            graph_query(GraphQueryId::QG3),
+            IncrementalStrategy::EasyRerun,
+        )
+        .unwrap();
     assert_eq!(
-        engine.view(handle).unwrap().strategy(),
+        engine.view(auto).unwrap().strategy(),
+        IncrementalStrategy::Counting
+    );
+    assert_eq!(
+        engine.view(rerun).unwrap().strategy(),
         IncrementalStrategy::EasyRerun
     );
 
     let mut batch = DeltaBatch::new();
     batch.insert("Unrelated", int_row([8]));
     let report = engine.apply(&batch).unwrap();
-    assert_eq!(report.views_skipped, 1);
-    assert_eq!(engine.view(handle).unwrap().stats().batches_skipped, 1);
+    assert_eq!(report.views_skipped, 2);
+    for handle in [auto, rerun] {
+        assert_eq!(engine.view(handle).unwrap().stats().batches_skipped, 1);
+    }
 
     let mut batch = DeltaBatch::new();
     batch.insert("Unrelated", int_row([9]));
     batch.delete("Graph", int_row([2, 3]));
     let report = engine.apply(&batch).unwrap();
-    assert_eq!(report.views_applied, 1);
-    let view = engine.view(handle).unwrap();
-    let expected = baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-    assert_eq!(
-        engine.result(handle).unwrap().sorted_rows(),
-        expected.sorted_rows()
-    );
+    assert_eq!(report.views_applied, 2);
+    for handle in [auto, rerun] {
+        let view = engine.view(handle).unwrap();
+        let expected = baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
+        assert_eq!(
+            engine.result(handle).unwrap().sorted_rows(),
+            expected.sorted_rows()
+        );
+    }
 }

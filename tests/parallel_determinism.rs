@@ -18,7 +18,8 @@
 //!
 //! The property test runs 13 schedules × 8 batches = 104 generated batches
 //! (≥ the 100-batch acceptance gate), over both the `Q_G3` (Triple-based,
-//! rerun-leaning) and `Q_G5` (Graph-based, counting) families, and checks the
+//! difference-linear) and `Q_G5` (Graph-based, hard) families — counting by
+//! default, plus a `Q_G3` view pinned to the rerun arm — and checks the
 //! parallel engine against the sequential engine *and* against fresh
 //! re-evaluation after every batch.
 
@@ -114,13 +115,22 @@ fn ops_to_batch(ops: &[(u8, i64, i64, i64)]) -> DeltaBatch {
     batch
 }
 
-/// Register the whole panel on one engine: fixed-strategy views for every
-/// standing query plus adaptive twins for the two family heads.
+/// Register the whole panel on one engine: default (counting) views for every
+/// standing query, one rerun view named explicitly, plus adaptive twins for
+/// the two family heads (kept last: callers index them from the end).
 fn register_panel(engine: &mut DcqEngine) -> Vec<ViewHandle> {
     let mut handles = Vec::new();
     for dcq in standing_queries() {
         handles.push(engine.register_dcq(dcq).unwrap());
     }
+    handles.push(
+        engine
+            .register_with(
+                graph_query(GraphQueryId::QG3),
+                IncrementalStrategy::EasyRerun,
+            )
+            .unwrap(),
+    );
     handles.push(
         engine
             .register_adaptive(graph_query(GraphQueryId::QG3))
