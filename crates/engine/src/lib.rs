@@ -637,9 +637,6 @@ pub struct DcqEngine {
     /// The per-view fan-out workers `apply` distributes over; see
     /// [`DcqEngine::set_workers`].
     fanout: WorkerPool,
-    /// Explicit intra-view fold partition count, or `None` to follow the
-    /// fan-out width; see [`DcqEngine::set_fold_partitions`].
-    fold_partitions: Option<usize>,
     log: UpdateLog,
     /// Scheduled-compaction bounds checked in `apply`'s policy tail; default
     /// unbounded (no scheduled compaction).
@@ -693,7 +690,6 @@ impl DcqEngine {
             pool: CountingPool::new(),
             cost_model: MaintenanceCostModel::default(),
             fanout: WorkerPool::new(workers),
-            fold_partitions: None,
             log,
             compaction: CompactionPolicy::default(),
             checkpoint_sink: None,
@@ -723,9 +719,8 @@ impl DcqEngine {
     /// sequential, inline application in slot order).
     ///
     /// The width also flows into the other two parallel seams: the store's
-    /// sharded commit ([`SharedDatabase::set_commit_workers`]) and — unless
-    /// pinned via [`DcqEngine::set_fold_partitions`] — the counting sides'
-    /// intra-view fold partitioning.
+    /// sharded commit ([`SharedDatabase::set_commit_workers`]) and the
+    /// counting sides' intra-view fold partition count K.
     ///
     /// Worker count never affects *what* the engine computes — results, stats
     /// and shared-state counters are bit-identical at any width
@@ -734,31 +729,10 @@ impl DcqEngine {
     pub fn set_workers(&mut self, workers: usize) {
         self.fanout = WorkerPool::new(workers);
         self.store.set_commit_workers(workers);
-        self.push_fold_partitions();
-    }
-
-    /// Pin the counting sides' intra-view fold partition count, or pass `None`
-    /// to follow the fan-out width (the default).  Like the fan-out width, a
-    /// pure scheduling knob: results, stats and telemetry counters are
-    /// bit-identical at any value (`tests/parallel_determinism.rs`).
-    pub fn set_fold_partitions(&mut self, partitions: Option<usize>) {
-        self.fold_partitions = partitions.map(|n| n.max(1));
-        self.push_fold_partitions();
-    }
-
-    /// The effective intra-view fold partition count (the pinned value, else
-    /// the fan-out width).
-    pub fn fold_partitions(&self) -> usize {
-        self.fold_partitions
-            .unwrap_or_else(|| self.fanout.workers())
-    }
-
-    /// Push the effective fold partition count onto every live view (each view
-    /// re-applies it to sides a later migration builds).
-    fn push_fold_partitions(&mut self) {
-        let effective = self.fold_partitions();
+        // Each view re-applies K to the sides a later migration builds.
+        let partitions = self.workers();
         for shared in self.views.iter_mut().flatten() {
-            shared.view.set_fold_partitions(effective);
+            shared.view.set_fold_partitions(partitions);
         }
     }
 
@@ -899,7 +873,7 @@ impl DcqEngine {
                     &mut self.pool,
                     self.cost_model.initial_kind(),
                 )?;
-                view.set_fold_partitions(self.fold_partitions());
+                view.set_fold_partitions(self.workers());
                 let shared = SharedView {
                     view,
                     refs: 1,
@@ -1454,9 +1428,9 @@ impl DcqEngine {
         }
         reg.gauge(
             "dcq_counting_fold_partitions",
-            "Configured intra-view fold partitions (effective value)",
+            "Intra-view fold partitions K (the fan-out width)",
         )
-        .set(self.fold_partitions() as u64);
+        .set(self.workers() as u64);
         // Wall-clock per fold partition, summed across the distinct live
         // counting sides' most recent owned folds — a skew gauge, not part of
         // the deterministic surface.

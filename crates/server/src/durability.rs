@@ -22,8 +22,8 @@
 
 use dcq_engine::{CheckpointSink, DcqEngine};
 use dcq_storage::checkpoint::{
-    read_batch_frame_at, read_checkpoint, read_wal_header_versioned, write_batch_frame,
-    write_checkpoint, write_wal_header,
+    read_batch_frame, read_checkpoint, read_wal_header, write_batch_frame, write_checkpoint,
+    write_wal_header,
 };
 use dcq_storage::{Database, DeltaBatch, Epoch, StorageError};
 use std::fs::{File, OpenOptions};
@@ -225,11 +225,7 @@ pub fn recover(dir: impl AsRef<Path>) -> io::Result<(DcqEngine, RecoveryReport)>
     let (checkpoint_epoch, db) = read_checkpoint(&mut ckpt).map_err(storage_to_io)?;
 
     let mut wal = BufReader::new(File::open(dir.join(WAL_FILE))?);
-    // The header declares the file's format version; every batch frame in the
-    // file decodes in that version's layout (a WAL written by the previous
-    // release replays just as well as a current one).
-    let (wal_base_epoch, wal_version) =
-        read_wal_header_versioned(&mut wal).map_err(storage_to_io)?;
+    let wal_base_epoch = read_wal_header(&mut wal).map_err(storage_to_io)?;
     if wal_base_epoch > checkpoint_epoch {
         return Err(io::Error::other(format!(
             "WAL base epoch {wal_base_epoch} is ahead of checkpoint epoch {checkpoint_epoch}; \
@@ -239,7 +235,7 @@ pub fn recover(dir: impl AsRef<Path>) -> io::Result<(DcqEngine, RecoveryReport)>
     let mut batches = Vec::new();
     let mut torn_tail = false;
     loop {
-        match read_batch_frame_at(&mut wal, wal_version) {
+        match read_batch_frame(&mut wal) {
             Ok(Some(batch)) => batches.push(batch),
             Ok(None) => break,
             Err(StorageError::Corrupt { .. }) => {

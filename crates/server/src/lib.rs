@@ -16,10 +16,9 @@
 //!   `checkpoint ⊕ retained WAL tail = current state` at every instant;
 //!   [`durability::recover`] rebuilds an engine from those two files.
 //! * **[`client`]** — a small blocking client used by the tests, the example
-//!   server and the `dcq-loadgen` harness.
-//! * **[`loadgen`]** — the load harness: N concurrent connections pushing
-//!   batches and reading views, with latency percentiles taken from the
-//!   server's own histograms.
+//!   server and the `service` workload of `benchmark/`.
+//! * **[`loadgen::parse_metric`]** — reads one scalar out of a `metrics`
+//!   reply, so callers judge saturation by the server's own telemetry.
 //!
 //! Everything is `std`-only: TCP via `std::net`, threads + channels via
 //! `std::sync`, the JSON codec and binary file formats hand-rolled.
@@ -33,5 +32,4 @@ pub mod server;
 
 pub use client::DcqClient;
 pub use durability::{recover, DurabilityConfig, RecoveryReport};
-pub use loadgen::{run_load, LoadReport, LoadSpec};
 pub use server::{DcqServer, ResultSnapshot, ServerConfig};

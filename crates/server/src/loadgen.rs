@@ -1,125 +1,4 @@
-//! The load harness: many concurrent client connections pushing delta
-//! batches and reading views against a running [`crate::DcqServer`].
-//!
-//! Client-observed latencies are collected per request (exact percentiles,
-//! no bucketing error); saturation behaviour — accepted pushes, admission
-//! rejections, queue depth — is read back from the *server's* own
-//! `dcq_server_*` telemetry so the report reflects what the service measured,
-//! not what the clients inferred.
-
-use crate::client::{retry_backoff_ms, DcqClient, PushOutcome};
-use dcq_storage::row::int_row;
-use dcq_storage::DeltaBatch;
-use std::io;
-use std::net::SocketAddr;
-use std::sync::mpsc;
-use std::thread;
-use std::time::Instant;
-
-/// One sweep point of the harness.
-#[derive(Clone, Debug)]
-pub struct LoadSpec {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Pushes issued per client (each waits for its ack or retries on
-    /// `overloaded`).
-    pub requests_per_client: usize,
-    /// Tuple operations per pushed batch.
-    pub rows_per_batch: usize,
-    /// Issue a `read` of `view` after every this-many pushes (0 = never).
-    pub read_every: usize,
-    /// Relation the pushes target.
-    pub relation: String,
-    /// View id (already registered) the reads target.
-    pub view: u64,
-    /// Thread stack size for client threads.
-    pub stack_bytes: usize,
-}
-
-impl LoadSpec {
-    /// A sweep point with `clients` connections and sensible defaults.
-    pub fn clients(clients: usize) -> LoadSpec {
-        LoadSpec {
-            clients,
-            requests_per_client: 20,
-            rows_per_batch: 4,
-            read_every: 2,
-            relation: "Graph".to_string(),
-            view: 1,
-            stack_bytes: 192 * 1024,
-        }
-    }
-}
-
-/// What one [`run_load`] sweep measured.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Concurrent connections driven.
-    pub clients: usize,
-    /// Pushes acknowledged (client side).
-    pub pushes_acked: u64,
-    /// `overloaded` rejections observed before eventual ack (client side).
-    pub push_rejections: u64,
-    /// Reads answered.
-    pub reads: u64,
-    /// Wall time of the whole sweep, seconds.
-    pub elapsed_s: f64,
-    /// Acked pushes per second of wall time.
-    pub push_throughput_per_s: f64,
-    /// Client-observed push latency percentiles, microseconds.
-    pub push_p50_us: u64,
-    /// 99th percentile push latency, microseconds.
-    pub push_p99_us: u64,
-    /// Client-observed read latency percentiles, microseconds.
-    pub read_p50_us: u64,
-    /// 99th percentile read latency, microseconds.
-    pub read_p99_us: u64,
-    /// `dcq_server_push_total` after the sweep (server-side telemetry).
-    pub server_push_total: u64,
-    /// `dcq_server_overloaded_total` after the sweep (server-side telemetry).
-    pub server_overloaded_total: u64,
-    /// Admission rejection rate the *server* saw: overloaded / (accepted +
-    /// overloaded) over the whole server lifetime up to this sweep.
-    pub server_overload_rate: f64,
-    /// Committed epoch after the sweep.
-    pub final_epoch: u64,
-}
-
-impl LoadReport {
-    /// Render as a JSON object (for `BENCH_service.json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"clients\":{},\"pushes_acked\":{},\"push_rejections\":{},\"reads\":{},\
-             \"elapsed_s\":{:.3},\"push_throughput_per_s\":{:.1},\
-             \"push_p50_us\":{},\"push_p99_us\":{},\"read_p50_us\":{},\"read_p99_us\":{},\
-             \"server_push_total\":{},\"server_overloaded_total\":{},\
-             \"server_overload_rate\":{:.4},\"final_epoch\":{}}}",
-            self.clients,
-            self.pushes_acked,
-            self.push_rejections,
-            self.reads,
-            self.elapsed_s,
-            self.push_throughput_per_s,
-            self.push_p50_us,
-            self.push_p99_us,
-            self.read_p50_us,
-            self.read_p99_us,
-            self.server_push_total,
-            self.server_overloaded_total,
-            self.server_overload_rate,
-            self.final_epoch,
-        )
-    }
-}
-
-/// `p` in [0, 100] over an ascending-sorted sample set (nearest-rank).
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
+//! Reading the server's own telemetry back out of a `metrics` reply.
 
 /// Pull the value of a scalar metric line (`name value`) out of a Prometheus
 /// text exposition.  Histogram series expose `name_sum` / `name_count`.
@@ -131,157 +10,9 @@ pub fn parse_metric(exposition: &str, name: &str) -> Option<u64> {
     })
 }
 
-struct WorkerStats {
-    acked: u64,
-    rejections: u64,
-    reads: u64,
-    push_latencies_us: Vec<u64>,
-    read_latencies_us: Vec<u64>,
-}
-
-/// Drive `spec.clients` concurrent connections against `addr` and gather a
-/// [`LoadReport`].  The caller is responsible for having registered
-/// `spec.view` beforehand.
-pub fn run_load(addr: SocketAddr, spec: &LoadSpec) -> io::Result<LoadReport> {
-    let started = Instant::now();
-    let (stats_tx, stats_rx) = mpsc::channel::<io::Result<WorkerStats>>();
-    let mut joins = Vec::with_capacity(spec.clients);
-    for client_id in 0..spec.clients {
-        let spec = spec.clone();
-        let stats_tx = stats_tx.clone();
-        let handle = thread::Builder::new()
-            .name(format!("loadgen-{client_id}"))
-            .stack_size(spec.stack_bytes)
-            .spawn(move || {
-                let _ = stats_tx.send(drive_client(addr, &spec, client_id));
-            })?;
-        joins.push(handle);
-    }
-    drop(stats_tx);
-
-    let mut acked = 0u64;
-    let mut rejections = 0u64;
-    let mut reads = 0u64;
-    let mut push_lat = Vec::new();
-    let mut read_lat = Vec::new();
-    let mut first_error: Option<io::Error> = None;
-    for outcome in stats_rx {
-        match outcome {
-            Ok(stats) => {
-                acked += stats.acked;
-                rejections += stats.rejections;
-                reads += stats.reads;
-                push_lat.extend(stats.push_latencies_us);
-                read_lat.extend(stats.read_latencies_us);
-            }
-            Err(e) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-    for handle in joins {
-        let _ = handle.join();
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    push_lat.sort_unstable();
-    read_lat.sort_unstable();
-
-    // Server-side truth for the saturation columns.
-    let mut probe = DcqClient::connect_retry(addr, 8)?;
-    let metrics = probe.metrics()?;
-    let server_push_total = parse_metric(&metrics, "dcq_server_push_total").unwrap_or(0);
-    let server_overloaded_total =
-        parse_metric(&metrics, "dcq_server_overloaded_total").unwrap_or(0);
-    let offered = server_push_total + server_overloaded_total;
-    let final_epoch = parse_metric(&metrics, "dcq_engine_epoch").unwrap_or(0);
-
-    Ok(LoadReport {
-        clients: spec.clients,
-        pushes_acked: acked,
-        push_rejections: rejections,
-        reads,
-        elapsed_s,
-        push_throughput_per_s: acked as f64 / elapsed_s.max(1e-9),
-        push_p50_us: percentile(&push_lat, 50.0),
-        push_p99_us: percentile(&push_lat, 99.0),
-        read_p50_us: percentile(&read_lat, 50.0),
-        read_p99_us: percentile(&read_lat, 99.0),
-        server_push_total,
-        server_overloaded_total,
-        server_overload_rate: if offered == 0 {
-            0.0
-        } else {
-            server_overloaded_total as f64 / offered as f64
-        },
-        final_epoch,
-    })
-}
-
-fn drive_client(addr: SocketAddr, spec: &LoadSpec, client_id: usize) -> io::Result<WorkerStats> {
-    let mut client = DcqClient::connect_retry(addr, 10)?;
-    let mut stats = WorkerStats {
-        acked: 0,
-        rejections: 0,
-        reads: 0,
-        push_latencies_us: Vec::with_capacity(spec.requests_per_client),
-        read_latencies_us: Vec::new(),
-    };
-    for seq in 0..spec.requests_per_client {
-        let mut batch = DeltaBatch::new();
-        for k in 0..spec.rows_per_batch {
-            // Unique per (client, seq, k): load is all fresh insertions.
-            let src = (client_id as i64) * 1_000_000 + (seq as i64) * 1_000 + k as i64;
-            batch.insert(spec.relation.as_str(), int_row([src, src + 1]));
-        }
-        let t0 = Instant::now();
-        // Honour admission control: back off by the server's hint (capped +
-        // jittered) until acked, so "acked" latency includes the backoff the
-        // server asked for and rejected clients do not retry in lock-step.
-        loop {
-            match client.push(&batch)? {
-                PushOutcome::Acked(_) => break,
-                PushOutcome::Overloaded { retry_after_ms } => {
-                    stats.rejections += 1;
-                    let salt = (client_id as u64) << 32 | (seq as u64) << 8 | stats.rejections;
-                    let backoff = retry_backoff_ms(retry_after_ms, salt);
-                    thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
-        }
-        stats.acked += 1;
-        stats
-            .push_latencies_us
-            .push(t0.elapsed().as_micros() as u64);
-        if spec.read_every > 0 && (seq + 1) % spec.read_every == 0 {
-            let t0 = Instant::now();
-            client.read(spec.view, None)?;
-            stats.reads += 1;
-            stats
-                .read_latencies_us
-                .push(t0.elapsed().as_micros() as u64);
-        }
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50.0), 50);
-        assert_eq!(percentile(&v, 99.0), 99);
-        assert_eq!(percentile(&v, 100.0), 100);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        assert_eq!(percentile(&[], 50.0), 0);
-    }
 
     #[test]
     fn parse_metric_scans_exposition_lines() {

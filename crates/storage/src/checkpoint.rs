@@ -33,10 +33,9 @@
 //! independently replayable; the WAL *file* version is declared by its
 //! header frame.
 //!
-//! Version **1** encoded every value inline at each occurrence.  Readers
-//! accept one version back ([`MIN_SUPPORTED_VERSION`]): v1 artifacts written
-//! by the previous release load transparently; writers always emit
-//! [`FORMAT_VERSION`].
+//! Writers emit and readers accept exactly [`FORMAT_VERSION`]; an artifact of
+//! any older (v0, v1) or newer version is refused with a typed
+//! [`StorageError::UnsupportedVersion`].
 //!
 //! The recovery invariant the formats exist to uphold:
 //! `checkpoint ⊕ retained log = current state`.
@@ -59,10 +58,8 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"DCQSNAP\0";
 pub const LOG_MAGIC: &[u8; 8] = b"DCQLOG\0\0";
 /// Magic prefix of a write-ahead-log file.
 pub const WAL_MAGIC: &[u8; 8] = b"DCQWAL\0\0";
-/// Newest serialization format version this build reads and writes.
+/// The one serialization format version this build reads and writes.
 pub const FORMAT_VERSION: u8 = 2;
-/// Oldest format version this build still reads (one version back).
-pub const MIN_SUPPORTED_VERSION: u8 = 1;
 
 /// Hard ceiling on any framed payload (64 GiB); a declared length beyond it
 /// is treated as corruption instead of an allocation attempt.
@@ -208,18 +205,10 @@ impl Enc {
         }
     }
 
-    #[cfg(test)]
-    fn row(&mut self, row: &Row) {
-        self.u16(row.arity() as u16);
-        for v in row.iter() {
-            self.value(v);
-        }
-    }
-
     /// One relation in v2 layout: schema, then the rows as `arity` flat id
     /// **columns** against `dict` — the serialized form of the store's
     /// [`RelationStore`](crate::flat::RelationStore).
-    fn relation_v2(&mut self, rel: &Relation, dict: &FileDict) {
+    fn relation(&mut self, rel: &Relation, dict: &FileDict) {
         self.str(rel.name());
         self.u16(rel.schema().arity() as u16);
         for attr in rel.schema().attrs() {
@@ -233,15 +222,15 @@ impl Enc {
         }
     }
 
-    fn database_v2(&mut self, db: &Database, dict: &FileDict) {
+    fn database(&mut self, db: &Database, dict: &FileDict) {
         self.u32(db.relation_count() as u32);
         for (_, rel) in db.iter() {
-            self.relation_v2(rel, dict);
+            self.relation(rel, dict);
         }
     }
 
     /// One batch in v2 layout: rows as id tuples against `dict`.
-    fn batch_v2(&mut self, batch: &DeltaBatch, dict: &FileDict) {
+    fn batch(&mut self, batch: &DeltaBatch, dict: &FileDict) {
         self.u32(batch.relations().count() as u32);
         for (name, ops) in batch.iter() {
             self.str(name);
@@ -253,34 +242,6 @@ impl Enc {
                     self.u32(dict.id_of(v));
                 }
             }
-        }
-    }
-
-    /// One batch in v1 layout (values inline); kept for the compat fixtures.
-    #[cfg(test)]
-    fn batch_v1(&mut self, batch: &DeltaBatch) {
-        self.u32(batch.relations().count() as u32);
-        for (name, ops) in batch.iter() {
-            self.str(name);
-            self.u32(ops.len() as u32);
-            for (row, sign) in ops {
-                self.u8(if *sign >= 0 { b'+' } else { b'-' });
-                self.row(row);
-            }
-        }
-    }
-
-    /// One relation in v1 layout (values inline); kept for the compat fixtures.
-    #[cfg(test)]
-    fn relation_v1(&mut self, rel: &Relation) {
-        self.str(rel.name());
-        self.u16(rel.schema().arity() as u16);
-        for attr in rel.schema().attrs() {
-            self.str(attr.name());
-        }
-        self.u64(rel.len() as u64);
-        for row in rel.iter() {
-            self.row(row);
         }
     }
 }
@@ -369,43 +330,7 @@ impl<'a> Dec<'a> {
             .ok_or_else(|| corrupt(self.artifact, format!("dictionary id {id} out of range")))
     }
 
-    fn row(&mut self) -> Result<Row> {
-        let arity = self.u16()? as usize;
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(self.value()?);
-        }
-        Ok(Row::new(values))
-    }
-
-    fn relation_v1(&mut self) -> Result<Relation> {
-        let name = self.str()?;
-        let arity = self.u16()? as usize;
-        let mut attrs = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            attrs.push(self.str()?);
-        }
-        let schema = Schema::from_names(attrs);
-        let mut rel = Relation::new(name, schema);
-        let rows = self.u64()?;
-        if rows > MAX_PAYLOAD {
-            return Err(corrupt(self.artifact, "implausible row count"));
-        }
-        for _ in 0..rows {
-            let row = self.row()?;
-            if row.arity() != arity {
-                return Err(corrupt(self.artifact, "row arity disagrees with schema"));
-            }
-            rel.push_unchecked(row);
-        }
-        // A checkpointed store holds set-semantics relations; writers only
-        // emit deduplicated stores, but dedup anyway so a hand-edited file
-        // cannot smuggle duplicates past the invariant.
-        rel.dedup();
-        Ok(rel)
-    }
-
-    fn relation_v2(&mut self, dict: &[Value]) -> Result<Relation> {
+    fn relation(&mut self, dict: &[Value]) -> Result<Relation> {
         let name = self.str()?;
         let arity = self.u16()? as usize;
         let mut attrs = Vec::with_capacity(arity);
@@ -433,48 +358,23 @@ impl<'a> Dec<'a> {
         for r in 0..rows {
             rel.push_unchecked(Row::new(cols.iter().map(|col| col[r].clone()).collect()));
         }
+        // A checkpointed store holds set-semantics relations; writers only
+        // emit deduplicated stores, but dedup anyway so a hand-edited file
+        // cannot smuggle duplicates past the invariant.
         rel.dedup();
         Ok(rel)
     }
 
-    fn database_v1(&mut self) -> Result<Database> {
+    fn database(&mut self, dict: &[Value]) -> Result<Database> {
         let count = self.u32()?;
         let mut db = Database::new();
         for _ in 0..count {
-            db.add(self.relation_v1()?)?;
+            db.add(self.relation(dict)?)?;
         }
         Ok(db)
     }
 
-    fn database_v2(&mut self, dict: &[Value]) -> Result<Database> {
-        let count = self.u32()?;
-        let mut db = Database::new();
-        for _ in 0..count {
-            db.add(self.relation_v2(dict)?)?;
-        }
-        Ok(db)
-    }
-
-    fn batch_v1(&mut self) -> Result<DeltaBatch> {
-        let relations = self.u32()?;
-        let mut batch = DeltaBatch::new();
-        for _ in 0..relations {
-            let name = self.str()?;
-            let ops = self.u32()?;
-            for _ in 0..ops {
-                let sign = match self.u8()? {
-                    b'+' => 1,
-                    b'-' => -1,
-                    tag => return Err(corrupt(self.artifact, format!("unknown op sign {tag:#x}"))),
-                };
-                let row = self.row()?;
-                batch.push(&name, row, sign);
-            }
-        }
-        Ok(batch)
-    }
-
-    fn batch_v2(&mut self, dict: &[Value]) -> Result<DeltaBatch> {
+    fn batch(&mut self, dict: &[Value]) -> Result<DeltaBatch> {
         let relations = self.u32()?;
         let mut batch = DeltaBatch::new();
         for _ in 0..relations {
@@ -497,13 +397,6 @@ impl<'a> Dec<'a> {
         Ok(batch)
     }
 
-    fn batch_at(&mut self, version: u8, dict: &[Value]) -> Result<DeltaBatch> {
-        match version {
-            1 => self.batch_v1(),
-            _ => self.batch_v2(dict),
-        }
-    }
-
     fn finish(self) -> Result<()> {
         if self.pos != self.buf.len() {
             return Err(corrupt(
@@ -519,33 +412,20 @@ impl<'a> Dec<'a> {
 // File-level framing
 // ---------------------------------------------------------------------------
 
-/// Write `magic · version · len · payload · crc32(payload)` to `w`.
-fn write_framed_at<W: Write>(
-    w: &mut W,
-    magic: &[u8; 8],
-    version: u8,
-    payload: &[u8],
-) -> Result<()> {
+/// Write `magic · FORMAT_VERSION · len · payload · crc32(payload)` to `w`.
+fn write_framed<W: Write>(w: &mut W, magic: &[u8; 8], payload: &[u8]) -> Result<()> {
     w.write_all(magic)?;
-    w.write_all(&[version])?;
+    w.write_all(&[FORMAT_VERSION])?;
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)?;
     w.write_all(&crc32(payload).to_le_bytes())?;
     Ok(())
 }
 
-fn write_framed<W: Write>(w: &mut W, magic: &[u8; 8], payload: &[u8]) -> Result<()> {
-    write_framed_at(w, magic, FORMAT_VERSION, payload)
-}
-
 /// Read and validate one framed payload; the inverse of [`write_framed`].
-/// Accepts every version in `MIN_SUPPORTED_VERSION..=FORMAT_VERSION` and
-/// returns the version found alongside the payload so callers can dispatch.
-fn read_framed<R: Read>(
-    r: &mut R,
-    magic: &[u8; 8],
-    artifact: &'static str,
-) -> Result<(u8, Vec<u8>)> {
+/// Any version other than [`FORMAT_VERSION`] is a typed
+/// [`StorageError::UnsupportedVersion`].
+fn read_framed<R: Read>(r: &mut R, magic: &[u8; 8], artifact: &'static str) -> Result<Vec<u8>> {
     let mut head = [0u8; 8];
     read_exact(r, &mut head, artifact)?;
     if &head != magic {
@@ -554,7 +434,7 @@ fn read_framed<R: Read>(
     let mut version = [0u8; 1];
     read_exact(r, &mut version, artifact)?;
     let version = version[0];
-    if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StorageError::UnsupportedVersion {
             artifact,
             found: version,
@@ -574,7 +454,7 @@ fn read_framed<R: Read>(
     if u32::from_le_bytes(crc) != crc32(&payload) {
         return Err(corrupt(artifact, "checksum mismatch"));
     }
-    Ok((version, payload))
+    Ok(payload)
 }
 
 /// `read_exact` with truncation mapped to a typed corruption error.
@@ -609,23 +489,17 @@ pub fn write_checkpoint<W: Write>(w: &mut W, epoch: Epoch, db: &Database) -> Res
     let mut enc = Enc::new();
     enc.u64(epoch);
     enc.dict(&dict);
-    enc.database_v2(db, &dict);
+    enc.database(db, &dict);
     write_framed(w, CHECKPOINT_MAGIC, &enc.buf)
 }
 
-/// Read back a checkpoint written by [`write_checkpoint`] — current format or
-/// one version back.
+/// Read back a checkpoint written by [`write_checkpoint`].
 pub fn read_checkpoint<R: Read>(r: &mut R) -> Result<(Epoch, Database)> {
-    let (version, payload) = read_framed(r, CHECKPOINT_MAGIC, "checkpoint")?;
+    let payload = read_framed(r, CHECKPOINT_MAGIC, "checkpoint")?;
     let mut dec = Dec::new(&payload, "checkpoint");
     let epoch = dec.u64()?;
-    let db = match version {
-        1 => dec.database_v1()?,
-        _ => {
-            let dict = dec.dict()?;
-            dec.database_v2(&dict)?
-        }
-    };
+    let dict = dec.dict()?;
+    let db = dec.database(&dict)?;
     dec.finish()?;
     Ok((epoch, db))
 }
@@ -653,17 +527,17 @@ impl UpdateLog {
         enc.dict(&dict);
         enc.u32(self.batches.len() as u32);
         for batch in &self.batches {
-            enc.batch_v2(batch, &dict);
+            enc.batch(batch, &dict);
         }
         write_framed(w, LOG_MAGIC, &enc.buf)
     }
 
-    /// Read back a log written by [`UpdateLog::to_writer`] (current format or
-    /// one version back).  Corruption — including truncated input — yields a
-    /// typed [`StorageError`], never a panic.
+    /// Read back a log written by [`UpdateLog::to_writer`].  Corruption —
+    /// including truncated input — yields a typed [`StorageError`], never a
+    /// panic.
     pub fn from_reader<R: Read>(r: &mut R) -> Result<UpdateLog> {
         const ARTIFACT: &str = "update log";
-        let (version, payload) = read_framed(r, LOG_MAGIC, ARTIFACT)?;
+        let payload = read_framed(r, LOG_MAGIC, ARTIFACT)?;
         let mut dec = Dec::new(&payload, ARTIFACT);
         let base_epoch = dec.u64()?;
         let limit = match dec.u64()? {
@@ -676,15 +550,11 @@ impl UpdateLog {
             inserted: dec.u64()? as usize,
             deleted: dec.u64()? as usize,
         };
-        let dict = if version >= 2 {
-            dec.dict()?
-        } else {
-            Vec::new()
-        };
+        let dict = dec.dict()?;
         let count = dec.u32()?;
         let mut batches = std::collections::VecDeque::with_capacity(count as usize);
         for _ in 0..count {
-            batches.push_back(dec.batch_at(version, &dict)?);
+            batches.push_back(dec.batch(&dict)?);
         }
         dec.finish()?;
         Ok(UpdateLog {
@@ -703,27 +573,20 @@ impl UpdateLog {
 // ---------------------------------------------------------------------------
 
 /// Write a WAL file header declaring `base_epoch`: the epoch of the state the
-/// first appended frame applies to.  The header's framing version is the
-/// version of every subsequent batch frame in the file.
+/// first appended frame applies to.
 pub fn write_wal_header<W: Write>(w: &mut W, base_epoch: Epoch) -> Result<()> {
     write_framed(w, WAL_MAGIC, &base_epoch.to_le_bytes())
 }
 
 /// Read back a WAL header written by [`write_wal_header`], returning the base
-/// epoch and the file's format version — pass the version to
-/// [`read_batch_frame_at`] so frames decode in the layout the writer used.
-pub fn read_wal_header_versioned<R: Read>(r: &mut R) -> Result<(Epoch, u8)> {
-    let (version, payload) = read_framed(r, WAL_MAGIC, "write-ahead log")?;
+/// epoch.
+pub fn read_wal_header<R: Read>(r: &mut R) -> Result<Epoch> {
+    let payload = read_framed(r, WAL_MAGIC, "write-ahead log")?;
     let bytes: [u8; 8] = payload
         .as_slice()
         .try_into()
         .map_err(|_| corrupt("write-ahead log", "header payload is not 8 bytes"))?;
-    Ok((u64::from_le_bytes(bytes), version))
-}
-
-/// [`read_wal_header_versioned`] without the version (current-format files).
-pub fn read_wal_header<R: Read>(r: &mut R) -> Result<Epoch> {
-    Ok(read_wal_header_versioned(r)?.0)
+    Ok(u64::from_le_bytes(bytes))
 }
 
 /// Append one self-checking batch frame (`len · crc · payload`) to `w`,
@@ -735,21 +598,20 @@ pub fn write_batch_frame<W: Write>(w: &mut W, batch: &DeltaBatch) -> Result<usiz
     dict.absorb_batch(batch);
     let mut enc = Enc::new();
     enc.dict(&dict);
-    enc.batch_v2(batch, &dict);
+    enc.batch(batch, &dict);
     w.write_all(&(enc.buf.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(&enc.buf).to_le_bytes())?;
     w.write_all(&enc.buf)?;
     Ok(8 + enc.buf.len())
 }
 
-/// Read the next batch frame from `r` in the layout of WAL file format
-/// `version` (from [`read_wal_header_versioned`]).
+/// Read the next batch frame from `r` (after [`read_wal_header`]).
 ///
 /// Returns `Ok(None)` on a clean end of stream (EOF exactly at a frame
 /// boundary).  A frame cut short by a crash, or one whose checksum does not
 /// match, is a [`StorageError::Corrupt`] — WAL readers treat the first such
 /// error as the torn tail of an interrupted append and stop there.
-pub fn read_batch_frame_at<R: Read>(r: &mut R, version: u8) -> Result<Option<DeltaBatch>> {
+pub fn read_batch_frame<R: Read>(r: &mut R) -> Result<Option<DeltaBatch>> {
     const ARTIFACT: &str = "write-ahead log";
     // Read the length word by hand: zero bytes is a clean EOF, a partial word
     // is a torn frame.
@@ -776,19 +638,10 @@ pub fn read_batch_frame_at<R: Read>(r: &mut R, version: u8) -> Result<Option<Del
         return Err(corrupt(ARTIFACT, "frame checksum mismatch"));
     }
     let mut dec = Dec::new(&payload, ARTIFACT);
-    let batch = if version >= 2 {
-        let dict = dec.dict()?;
-        dec.batch_v2(&dict)?
-    } else {
-        dec.batch_v1()?
-    };
+    let dict = dec.dict()?;
+    let batch = dec.batch(&dict)?;
     dec.finish()?;
     Ok(Some(batch))
-}
-
-/// [`read_batch_frame_at`] for current-format WAL files.
-pub fn read_batch_frame<R: Read>(r: &mut R) -> Result<Option<DeltaBatch>> {
-    read_batch_frame_at(r, FORMAT_VERSION)
 }
 
 #[cfg(test)]
@@ -827,19 +680,6 @@ mod tests {
         b
     }
 
-    /// A v1 checkpoint exactly as the previous release wrote it.
-    fn v1_checkpoint(epoch: Epoch, db: &Database) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u64(epoch);
-        enc.u32(db.relation_count() as u32);
-        for (_, rel) in db.iter() {
-            enc.relation_v1(rel);
-        }
-        let mut buf = Vec::new();
-        write_framed_at(&mut buf, CHECKPOINT_MAGIC, 1, &enc.buf).unwrap();
-        buf
-    }
-
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
@@ -875,37 +715,18 @@ mod tests {
             .unwrap();
         let mut v2 = Vec::new();
         write_checkpoint(&mut v2, 0, &db).unwrap();
-        let mut enc = Enc::new();
-        enc.u64(0);
-        enc.u32(1);
-        enc.relation_v1(db.get("Dense").unwrap());
+        // Inline rows alone: a u16 arity plus a tagged i64 per value.
+        let inline_bytes = 200 * (2 + 2 * 9);
         assert!(
-            v2.len() * 2 < enc.buf.len(),
-            "flat id columns ({} bytes) must at least halve the inline encoding ({} bytes)",
+            v2.len() * 2 < inline_bytes,
+            "flat id columns ({} bytes) must at least halve the inline encoding ({inline_bytes} bytes)",
             v2.len(),
-            enc.buf.len()
         );
         let (_, back) = read_checkpoint(&mut v2.as_slice()).unwrap();
         assert_eq!(
             back.get("Dense").unwrap().sorted_rows(),
             db.get("Dense").unwrap().sorted_rows()
         );
-    }
-
-    #[test]
-    fn previous_version_checkpoints_still_read() {
-        let db = sample_db();
-        let v1 = v1_checkpoint(23, &db);
-        assert_eq!(v1[8], 1);
-        let (epoch, back) = read_checkpoint(&mut v1.as_slice()).unwrap();
-        assert_eq!(epoch, 23);
-        assert_eq!(back.relation_names(), db.relation_names());
-        for name in db.relation_names() {
-            assert_eq!(
-                back.get(&name).unwrap().sorted_rows(),
-                db.get(&name).unwrap().sorted_rows()
-            );
-        }
     }
 
     #[test]
@@ -955,31 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_update_logs_still_read() {
-        let mut log = UpdateLog::new();
-        log.record(sample_batch(0), DeltaEffect::default());
-        log.record(sample_batch(1), DeltaEffect::default());
-        // Encode the log body exactly as v1 did: batches inline, no dict.
-        let mut enc = Enc::new();
-        enc.u64(log.base_epoch);
-        enc.u64(u64::MAX);
-        enc.u8(0);
-        enc.u64(log.recorded as u64);
-        enc.u64(log.total.inserted as u64);
-        enc.u64(log.total.deleted as u64);
-        enc.u32(log.batches.len() as u32);
-        for batch in &log.batches {
-            enc.batch_v1(batch);
-        }
-        let mut buf = Vec::new();
-        write_framed_at(&mut buf, LOG_MAGIC, 1, &enc.buf).unwrap();
-        let back = UpdateLog::from_reader(&mut buf.as_slice()).unwrap();
-        let orig: Vec<_> = log.batches().cloned().collect();
-        let round: Vec<_> = back.batches().cloned().collect();
-        assert_eq!(orig, round);
-    }
-
-    #[test]
     fn wal_frames_round_trip_and_stop_cleanly() {
         let mut buf = Vec::new();
         write_wal_header(&mut buf, 41).unwrap();
@@ -987,36 +783,14 @@ mod tests {
             write_batch_frame(&mut buf, &sample_batch(step)).unwrap();
         }
         let mut r = buf.as_slice();
-        let (epoch, version) = read_wal_header_versioned(&mut r).unwrap();
-        assert_eq!((epoch, version), (41, FORMAT_VERSION));
+        assert_eq!(buf[8], FORMAT_VERSION, "writers emit the current version");
+        assert_eq!(read_wal_header(&mut r).unwrap(), 41);
         let mut batches = Vec::new();
-        while let Some(batch) = read_batch_frame_at(&mut r, version).unwrap() {
+        while let Some(batch) = read_batch_frame(&mut r).unwrap() {
             batches.push(batch);
         }
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[2], sample_batch(2));
-    }
-
-    #[test]
-    fn previous_version_wal_files_still_replay() {
-        // A v1 WAL file: v1-framed header, frames with inline-value payloads.
-        let mut buf = Vec::new();
-        write_framed_at(&mut buf, WAL_MAGIC, 1, &7u64.to_le_bytes()).unwrap();
-        for step in 0..2 {
-            let mut enc = Enc::new();
-            enc.batch_v1(&sample_batch(step));
-            buf.extend_from_slice(&(enc.buf.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&enc.buf).to_le_bytes());
-            buf.extend_from_slice(&enc.buf);
-        }
-        let mut r = buf.as_slice();
-        let (epoch, version) = read_wal_header_versioned(&mut r).unwrap();
-        assert_eq!((epoch, version), (7, 1));
-        let mut batches = Vec::new();
-        while let Some(batch) = read_batch_frame_at(&mut r, version).unwrap() {
-            batches.push(batch);
-        }
-        assert_eq!(batches, vec![sample_batch(0), sample_batch(1)]);
     }
 
     #[test]
@@ -1074,27 +848,38 @@ mod tests {
             Err(StorageError::Corrupt { .. })
         ));
 
-        // Wrong magic and version skew (future or pre-support) are
-        // distinguished from corruption.
+        // Wrong magic is corruption; version skew (older or newer) is a
+        // distinct typed error for every framed artifact.
         let mut wrong_magic = buf.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
             read_checkpoint(&mut wrong_magic.as_slice()),
             Err(StorageError::Corrupt { .. })
         ));
-        let mut future = buf.clone();
-        future[8] = FORMAT_VERSION + 1;
-        assert!(matches!(
-            read_checkpoint(&mut future.as_slice()),
-            Err(StorageError::UnsupportedVersion { found, supported, .. })
-                if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
-        ));
-        let mut ancient = buf.clone();
-        ancient[8] = 0;
-        assert!(matches!(
-            read_checkpoint(&mut ancient.as_slice()),
-            Err(StorageError::UnsupportedVersion { found: 0, .. })
-        ));
+        let mut log = UpdateLog::new();
+        log.record(sample_batch(0), DeltaEffect::default());
+        let mut log_buf = Vec::new();
+        log.to_writer(&mut log_buf).unwrap();
+        let mut wal_buf = Vec::new();
+        write_wal_header(&mut wal_buf, 3).unwrap();
+        type Reader = fn(&[u8]) -> Result<()>;
+        let artifacts: [(&[u8], Reader); 3] = [
+            (&buf, |b| read_checkpoint(&mut &b[..]).map(drop)),
+            (&log_buf, |b| UpdateLog::from_reader(&mut &b[..]).map(drop)),
+            (&wal_buf, |b| read_wal_header(&mut &b[..]).map(drop)),
+        ];
+        for (bytes, read) in artifacts {
+            for version in [0, 1, FORMAT_VERSION + 1] {
+                let mut skewed = bytes.to_vec();
+                skewed[8] = version;
+                let err = read(&skewed).unwrap_err();
+                assert!(
+                    matches!(err, StorageError::UnsupportedVersion { found, supported: 2, .. }
+                        if found == version),
+                    "version {version} gave {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

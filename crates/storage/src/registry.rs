@@ -479,7 +479,7 @@ impl Clone for IndexRegistry {
             inplace_writes: self.inplace_writes.clone(),
             cow_clones: self.cow_clones.clone(),
             snapshots_taken: self.snapshots_taken.clone(),
-            live_pins: Arc::new(tele::Gauge::default()),
+            live_pins: Arc::default(),
         }
     }
 }

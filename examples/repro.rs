@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p dcq-bench --bin repro -- [experiment…]
+//! cargo run --release --example repro -- [experiment…]
 //! ```
 //!
 //! Experiments (default: `all`):
@@ -15,24 +15,101 @@
 //! * `fig9`            — peak memory of original vs optimized plans,
 //! * `table1-scaling`  — measured scaling of each strategy on an easy and a hard DCQ.
 
-use dcq_bench::memtrack::{live_bytes, peak_bytes, peak_during, CountingAllocator};
-use dcq_bench::{compare_plans, time};
-use dcq_core::baseline::{baseline_dcq_with_stats, CqStrategy};
+use dcq_core::baseline::{baseline_dcq_with_stats, BaselineStats, CqStrategy};
 use dcq_core::compose::push_selection;
 use dcq_core::multi::{multi_dcq_naive, multi_dcq_recursive};
 use dcq_core::planner::DcqPlanner;
+use dcq_core::Dcq;
 use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{
     dataset, dataset_names, graph_queries, graph_query, tpcds_q35_workload, tpcds_q69_workload,
     tpch_q16_workload, Graph, GraphQueryId, TripleRuleMix,
 };
-use dcq_storage::Value;
+use dcq_storage::{Database, Value};
 use dcq_telemetry::MetricsRegistry;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// Counting allocator for the Figure 9 memory experiment: forwards to the
+/// system allocator and tracks live and peak allocated bytes, so the peak can
+/// be reset around each plan without an external profiler.
+struct CountingAllocator;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: delegates all allocation to the system allocator; only bookkeeping added.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(live, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn secs(d: std::time::Duration) -> String {
+/// Peak heap growth (bytes above the starting live size) while running `f`.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let out = f();
+    let peak = PEAK.load(Ordering::Relaxed);
+    (out, peak.saturating_sub(baseline))
+}
+
+fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// Wall-clock measurement of one original-vs-optimized comparison.
+struct Comparison {
+    /// Time of the vanilla plan (materialize both sides + anti-join).
+    original: Duration,
+    /// Time of the plan chosen by the dichotomy/planner.
+    optimized: Duration,
+    /// Sizes observed by the baseline (OUT₁, OUT₂, OUT).
+    stats: BaselineStats,
+}
+
+impl Comparison {
+    fn speedup(&self) -> f64 {
+        self.original.as_secs_f64() / self.optimized.as_secs_f64().max(1e-9)
+    }
+}
+
+/// Run one DCQ with both the vanilla plan and the optimized plan, checking
+/// that the two agree, and report the timings.
+fn compare_plans(dcq: &Dcq, db: &Database) -> Comparison {
+    let planner = DcqPlanner::smart();
+    let ((baseline, stats), original) =
+        time(|| baseline_dcq_with_stats(dcq, db, CqStrategy::Vanilla).expect("baseline"));
+    let (optimized_result, optimized) = time(|| planner.execute(dcq, db).expect("optimized"));
+    assert_eq!(
+        baseline.distinct_count(),
+        optimized_result.distinct_count(),
+        "plans disagree"
+    );
+    Comparison {
+        original,
+        optimized,
+        stats,
+    }
+}
+
+fn secs(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64())
 }
 
@@ -319,20 +396,20 @@ fn table1_scaling() {
 /// machinery the engine's `metrics()` uses, so a scraper reads the repro
 /// binary and a serving engine in one format.
 fn heap_exposition() {
-    header("Heap telemetry — memtrack gauges, Prometheus exposition format");
+    header("Heap telemetry — allocator gauges, Prometheus exposition format");
     let registry = MetricsRegistry::new();
     registry
         .gauge(
             "dcq_repro_heap_live_bytes",
-            "Live heap bytes at the end of the repro run (memtrack::CountingAllocator)",
+            "Live heap bytes at the end of the repro run (CountingAllocator)",
         )
-        .set(live_bytes() as u64);
+        .set(LIVE.load(Ordering::Relaxed) as u64);
     registry
         .gauge(
             "dcq_repro_heap_peak_bytes",
             "Peak heap bytes since the last reset (fig9 resets around each plan)",
         )
-        .set(peak_bytes() as u64);
+        .set(PEAK.load(Ordering::Relaxed) as u64);
     print!("{}", registry.render_prometheus());
 }
 
@@ -364,4 +441,25 @@ fn main() {
         }
     }
     heap_exposition();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compare_plans_reports_consistent_sizes() {
+        let data = build_dataset(
+            "tiny",
+            Graph::uniform(60, 300, 3),
+            0.5,
+            TripleRuleMix::balanced(),
+            4,
+        );
+        let cmp = compare_plans(&graph_query(GraphQueryId::QG3), &data.db);
+        // OUT is a subset of OUT₁ and can shrink by at most |OUT₂| tuples.
+        assert!(cmp.stats.out <= cmp.stats.out1);
+        assert!(cmp.stats.out >= cmp.stats.out1.saturating_sub(cmp.stats.out2));
+        assert!(cmp.speedup() > 0.0);
+    }
 }

@@ -264,10 +264,8 @@ proptest! {
         let mut sequential = DcqEngine::with_database(db.clone());
         let mut parallel = DcqEngine::with_database(db);
         sequential.set_workers(1);
+        // Width 4 also splits every counting fold into K = 4 partitions.
         parallel.set_workers(4);
-        // An off-width partition count so the generated schedules also cover
-        // partitioned counting folds (not just wide fan-out).
-        parallel.set_fold_partitions(Some(3));
         sequential.set_cost_model(jumpy_model());
         parallel.set_cost_model(jumpy_model());
         let handles_seq = register_panel(&mut sequential);
@@ -393,10 +391,11 @@ fn any_worker_width_matches_sequential() {
     }
 }
 
-/// The fold partition count is pure scheduling too: K ∈ {1, 2, 3, 8}
-/// partitioned counting folds over the full panel (including the eight-view
-/// one-pooled-side `Q_G5` family) produce identical observables, with forced
-/// mid-stream migrations landing identically at every K.
+/// The fold partition count K follows the worker width and is pure scheduling
+/// too: K ∈ {1, 2, 3, 8} partitioned counting folds over the full panel
+/// (including the eight-view one-pooled-side `Q_G5` family) produce identical
+/// observables, with forced mid-stream migrations landing identically at
+/// every K.
 #[test]
 fn any_fold_partition_count_matches_sequential() {
     let db = initial_db(
@@ -427,11 +426,10 @@ fn any_fold_partition_count_matches_sequential() {
 
     let run = |partitions: usize| -> (DcqEngine, Vec<ViewHandle>) {
         let mut engine = DcqEngine::with_database(db.clone());
-        engine.set_workers(if partitions == 1 { 1 } else { 2 });
-        engine.set_fold_partitions(Some(partitions));
+        engine.set_workers(partitions);
         engine.set_cost_model(jumpy_model());
         let handles = register_panel(&mut engine);
-        assert_eq!(engine.fold_partitions(), partitions);
+        assert_eq!(engine.workers(), partitions);
         let adaptive_slots = [handles.len() - 2, handles.len() - 1];
         for (step, batch) in batches.iter().enumerate() {
             engine.apply(batch).unwrap();
