@@ -13,8 +13,7 @@
 //! standing queries — applied to the DCQs of Hu & Wang: each view is
 //! maintained by counting delta joins (the planner's choice for every class)
 //! or, where a caller names it, touched-side rerun, but the store, the batch
-//! normalization, the epoch counter and the update log exist **once**, not once
-//! per view:
+//! normalization and the epoch counter exist **once**, not once per view:
 //!
 //! ```text
 //!                      ┌────────────────────────────────────────┐
@@ -57,11 +56,13 @@
 //!
 //! [`DcqEngine::apply`] is split into two phases.  The **commit phase** is
 //! exclusive and sequential: the batch is validated, normalized and applied to
-//! the store once, every shared registry index is maintained once, the epoch
-//! advances, and the update log records the batch.  The **fan-out phase** is
-//! read-only and parallel: every distinct view folds the shared
-//! [`AppliedBatch`](dcq_storage::AppliedBatch) against the now-immutable store
-//! (`&`-borrowed, so nothing can move underneath the workers), distributed
+//! the store once, every shared registry index is maintained once, and the
+//! epoch advances.  The engine keeps no copy of the batch: durability is the
+//! caller's write-ahead log plus the checkpoints a [`CheckpointSink`] takes.
+//! The **fan-out phase** is read-only and parallel: every distinct view folds
+//! the shared [`AppliedBatch`](dcq_storage::AppliedBatch) against the
+//! now-immutable store (`&`-borrowed, so nothing can move underneath the
+//! workers), distributed
 //! over a [worker pool](DcqEngine::set_workers) — the calling thread plus
 //! persistent, process-wide helper threads; no thread is created per batch
 //! (`dcq_storage::fanout`).  Pooled
@@ -97,7 +98,7 @@ use dcq_incremental::{CountingTelemetry, IncrementalError};
 use dcq_storage::hash::{FastHashMap, FastHashSet};
 use dcq_storage::{
     Database, DeltaBatch, DeltaEffect, Epoch, IndexTelemetry, Relation, RelationRef,
-    SharedDatabase, StorageError, UpdateLog,
+    SharedDatabase, StorageError,
 };
 #[cfg(feature = "telemetry")]
 use dcq_telemetry::ViewTraceRecord;
@@ -321,7 +322,7 @@ pub struct ApplyReport {
 }
 
 /// Cumulative counters of one engine, plus a point-in-time snapshot of the
-/// store's shared index registry, update log, counting-side pool and fan-out
+/// store's shared index registry, counting-side pool and fan-out
 /// configuration.
 ///
 /// Since the telemetry refactor this is a **derived view** over the engine's
@@ -345,14 +346,8 @@ pub struct EngineStats {
     pub migrations_to_rerun: usize,
     /// Live view migrations onto counting maintenance.
     pub migrations_to_counting: usize,
-    /// Update-log compactions (scheduled policy or explicit
-    /// [`DcqEngine::compact_log`] / [`DcqEngine::compact_log_to`]).
+    /// Scheduled checkpoints written through the [`CheckpointSink`].
     pub compactions: usize,
-    /// Batches currently retained in the update log (point in time).
-    pub log_len: usize,
-    /// Epoch the retained log suffix starts after (see
-    /// [`UpdateLog::base_epoch`]; point in time).
-    pub log_base_epoch: Epoch,
     /// Live counting side shapes in the sharing pool (point in time).
     pub pool_live: usize,
     /// Pooled sides currently held by more than one view (point in time).
@@ -437,11 +432,11 @@ impl EngineTelemetry {
             ),
             compactions: registry.counter(
                 metric::COMPACTIONS,
-                "Update-log compactions (scheduled policy or explicit compact_log)",
+                "Scheduled checkpoints written through the checkpoint sink",
             ),
             checkpoint_errors: registry.counter(
                 metric::CHECKPOINT_ERRORS,
-                "Scheduled compactions abandoned because the checkpoint sink failed",
+                "Scheduled checkpoints abandoned because the checkpoint sink failed",
             ),
             commit_ns: registry.histogram(
                 metric::COMMIT_NS,
@@ -466,101 +461,37 @@ impl EngineTelemetry {
     }
 }
 
-/// A point-in-time checkpoint produced by [`DcqEngine::compact_log`]: the
-/// database of record at `epoch`, plus how much log prefix it subsumed.
+/// When [`DcqEngine::apply`]'s policy tail writes a **scheduled checkpoint**.
+/// Default: never.
 ///
-/// Replaying the engine's retained log onto `database` (via
-/// [`UpdateLog::replay_onto`] with this `epoch`) reproduces the engine's
-/// current database of record; keep the newest checkpoint durable and the
-/// bounded log tail is a full recovery story.
-#[derive(Clone, Debug)]
-pub struct LogCheckpoint {
-    /// The store epoch this checkpoint captures.
-    pub epoch: Epoch,
-    /// Batches the compaction dropped from the log (already reflected here).
-    pub compacted_batches: usize,
-    /// A deep copy of the database of record at `epoch`.
-    pub database: Database,
-}
-
-impl LogCheckpoint {
-    /// Serialize the checkpoint (epoch + database) with
-    /// [`dcq_storage::checkpoint`]'s versioned, checksummed format.
-    /// `compacted_batches` is transient bookkeeping about one compaction call
-    /// and is not persisted.
-    pub fn to_writer<W: std::io::Write>(&self, w: &mut W) -> dcq_storage::Result<()> {
-        dcq_storage::checkpoint::write_checkpoint(w, self.epoch, &self.database)
-    }
-
-    /// Read back a checkpoint written by [`LogCheckpoint::to_writer`] (or any
-    /// [`dcq_storage::checkpoint::write_checkpoint`] output);
-    /// `compacted_batches` reads as `0`.
-    pub fn from_reader<R: std::io::Read>(r: &mut R) -> dcq_storage::Result<LogCheckpoint> {
-        let (epoch, database) = dcq_storage::checkpoint::read_checkpoint(r)?;
-        Ok(LogCheckpoint {
-            epoch,
-            compacted_batches: 0,
-            database,
-        })
-    }
-}
-
-/// Bounds on the retained update log that trigger **scheduled compaction**
-/// inside [`DcqEngine::apply`]'s policy tail.  Default: both bounds off — the
-/// log grows until [`DcqEngine::compact_log`] is called explicitly.
-///
-/// When either bound is exceeded after a batch commits, the engine checkpoints
-/// the store (through the [`CheckpointSink`] if one is installed) and
-/// truncates the log prefix the checkpoint subsumes, keeping
-/// `checkpoint ⊕ retained log = current state` while bounding log memory.
+/// The engine counts the batches applied since its last checkpoint; once that
+/// count exceeds `max_retained_batches`, it streams the database of record
+/// into the installed [`CheckpointSink`].  The caller's write-ahead log can
+/// then drop every frame the checkpoint covers, keeping
+/// `checkpoint ⊕ WAL tail = current state` with a bounded tail.  Without a
+/// sink there is nothing to persist, and the policy does nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Compact when more than this many batches are retained.
+    /// Checkpoint when more than this many batches were applied since the
+    /// last checkpoint.
     pub max_retained_batches: Option<usize>,
-    /// Compact when the retained batches' approximate footprint
-    /// ([`UpdateLog::approx_bytes`]) exceeds this many bytes.
-    pub max_log_bytes: Option<usize>,
 }
 
 impl CompactionPolicy {
-    /// A policy bounding the number of retained batches.
+    /// A policy checkpointing after every `n + 1` batches.
     pub fn max_retained_batches(n: usize) -> Self {
         CompactionPolicy {
             max_retained_batches: Some(n),
-            max_log_bytes: None,
         }
-    }
-
-    /// A policy bounding the retained batches' approximate byte footprint.
-    pub fn max_log_bytes(bytes: usize) -> Self {
-        CompactionPolicy {
-            max_retained_batches: None,
-            max_log_bytes: Some(bytes),
-        }
-    }
-
-    /// `true` iff at least one bound is set.
-    pub fn is_bounded(&self) -> bool {
-        self.max_retained_batches.is_some() || self.max_log_bytes.is_some()
-    }
-
-    /// `true` iff a log at `len` retained batches / `bytes` approximate bytes
-    /// exceeds a configured bound.
-    pub fn exceeded(&self, len: usize, bytes: usize) -> bool {
-        self.max_retained_batches.is_some_and(|max| len > max)
-            || self.max_log_bytes.is_some_and(|max| bytes > max)
     }
 }
 
-/// Where scheduled compaction persists its checkpoints.
+/// Where scheduled checkpoints go.
 ///
-/// When a [`CompactionPolicy`] bound trips, the engine streams the current
-/// database of record into the sink **before** truncating the log — a sink
-/// failure leaves the log intact (and bumps
-/// `dcq_engine_checkpoint_errors_total`), so no update ever exists only in
-/// memory because a disk write failed.  Without a sink, scheduled compaction
-/// truncates only, for callers that handle durability elsewhere (or not at
-/// all).
+/// A sink failure bumps `dcq_engine_checkpoint_errors_total` and leaves the
+/// batch count standing, so the engine retries after the next batch and the
+/// caller's write-ahead log keeps every batch since the last checkpoint that
+/// did persist.
 pub trait CheckpointSink: Send + Sync {
     /// Persist a checkpoint of `database` as of `epoch`.
     fn write_checkpoint(&mut self, epoch: Epoch, database: &Database) -> std::io::Result<()>;
@@ -637,12 +568,13 @@ pub struct DcqEngine {
     /// The per-view fan-out workers `apply` distributes over; see
     /// [`DcqEngine::set_workers`].
     fanout: WorkerPool,
-    log: UpdateLog,
-    /// Scheduled-compaction bounds checked in `apply`'s policy tail; default
-    /// unbounded (no scheduled compaction).
+    /// When `apply`'s policy tail writes a scheduled checkpoint; default never.
     compaction: CompactionPolicy,
-    /// Where scheduled compaction persists checkpoints; `None` = truncate-only.
+    /// Where scheduled checkpoints go; `None` = the policy does nothing.
     checkpoint_sink: Option<Box<dyn CheckpointSink>>,
+    /// Batches applied since the last scheduled checkpoint (or since
+    /// construction).
+    batches_since_checkpoint: usize,
     /// The clock every policy-facing cost sample is taken on, pinned at
     /// construction; see [`DcqEngine::cost_clock`].
     cost_clock: CostClock,
@@ -671,13 +603,9 @@ impl DcqEngine {
     /// epoch `epoch`** — the recovery constructor.
     ///
     /// An engine rebuilt from a checkpoint taken at epoch `e` must keep epoch
-    /// numbering where the pre-crash engine left off, so replayed log batches
-    /// and previously acknowledged epochs line up.  The fresh update log is
-    /// rebased to `epoch` for the same reason: `checkpoint ⊕ retained log =
-    /// current state` stays an invariant from the first post-recovery batch.
+    /// numbering where the pre-crash engine left off, so replayed WAL batches
+    /// and previously acknowledged epochs line up.
     pub fn with_database_at(db: Database, epoch: Epoch) -> Self {
-        let mut log = UpdateLog::new();
-        log.rebase(epoch);
         let workers = WorkerPool::default_workers();
         let mut store = SharedDatabase::new_at(db, epoch);
         store.set_commit_workers(workers);
@@ -690,9 +618,9 @@ impl DcqEngine {
             pool: CountingPool::new(),
             cost_model: MaintenanceCostModel::default(),
             fanout: WorkerPool::new(workers),
-            log,
             compaction: CompactionPolicy::default(),
             checkpoint_sink: None,
+            batches_since_checkpoint: 0,
             cost_clock: pinned_cost_clock(),
             telemetry: EngineTelemetry::new(),
         }
@@ -974,8 +902,9 @@ impl DcqEngine {
     /// ## Phases
     ///
     /// 1. **Commit (sequential, exclusive):** the store applies and versions
-    ///    the batch, every shared registry index is maintained exactly once,
-    ///    the log records it.
+    ///    the batch, and every shared registry index is maintained exactly
+    ///    once.  The engine keeps no copy of the batch; it only counts it
+    ///    toward the next scheduled checkpoint.
     /// 2. **Fan-out (parallel, read-only):** distinct views fold the shared
     ///    normalized delta against the immutable post-commit store across the
     ///    [worker pool](DcqEngine::set_workers); pooled counting sides are
@@ -995,7 +924,7 @@ impl DcqEngine {
         // relative to the store the batch is generated against).
         let store_size = self.store.input_size().max(1);
         let applied = self.store.apply_batch(batch)?;
-        self.log.record(batch.clone(), applied.effect);
+        self.batches_since_checkpoint += 1;
         self.telemetry.batches.inc();
         let mut report = ApplyReport {
             epoch: applied.epoch,
@@ -1114,12 +1043,10 @@ impl DcqEngine {
         for (slot, target) in pending {
             self.migrate_slot(slot, target)?;
         }
-        // Scheduled compaction closes the policy tail: the batch is committed,
-        // logged, and every view reflects it, so a checkpoint taken here is a
+        // A scheduled checkpoint closes the policy tail: the batch is committed
+        // and every view reflects it, so a checkpoint taken here is a
         // consistent cut of the stream.
-        if self.compaction.is_bounded() {
-            self.maybe_compact();
-        }
+        self.maybe_checkpoint();
         #[cfg(feature = "telemetry")]
         {
             let policy_ns = policy_start.elapsed().as_nanos() as u64;
@@ -1241,7 +1168,7 @@ impl DcqEngine {
 
     /// Cumulative engine counters (read from the metrics registry — the same
     /// atomics [`DcqEngine::metrics`] renders), with the index-registry,
-    /// update-log, counting-pool and fan-out snapshots filled in at call time.
+    /// counting-pool and fan-out snapshots filled in at call time.
     pub fn stats(&self) -> EngineStats {
         let pool = self.pool.stats();
         EngineStats {
@@ -1253,8 +1180,6 @@ impl DcqEngine {
             migrations_to_rerun: self.telemetry.migrations_to_rerun.get() as usize,
             migrations_to_counting: self.telemetry.migrations_to_counting.get() as usize,
             compactions: self.telemetry.compactions.get() as usize,
-            log_len: self.log.len(),
-            log_base_epoch: self.log.base_epoch(),
             pool_live: pool.live,
             pool_shared: pool.shared,
             workers: self.fanout.workers(),
@@ -1291,7 +1216,7 @@ impl DcqEngine {
     /// Render every metric the engine tracks in Prometheus text exposition
     /// format: engine counters and phase histograms, plus the lower layers'
     /// work counters (index registry, counting sides, side pool, plan cache)
-    /// and point-in-time gauges (epoch, handles, log, memory), aggregated into
+    /// and point-in-time gauges (epoch, handles, memory), aggregated into
     /// the registry at call time.
     pub fn metrics(&self) -> String {
         self.refresh_registry();
@@ -1322,21 +1247,6 @@ impl DcqEngine {
         .set(self.distinct_view_count() as u64);
         reg.gauge("dcq_engine_workers", "Configured fan-out workers")
             .set(self.fanout.workers() as u64);
-        reg.gauge(
-            "dcq_engine_update_log_len",
-            "Batches retained in the update log",
-        )
-        .set(self.log.len() as u64);
-        reg.gauge(
-            "dcq_engine_update_log_base_epoch",
-            "Epoch the retained log suffix starts after",
-        )
-        .set(self.log.base_epoch());
-        reg.gauge(
-            "dcq_engine_update_log_bytes",
-            "Approximate heap footprint of the retained update log, bytes",
-        )
-        .set(self.log.approx_bytes() as u64);
 
         reg.gauge("dcq_index_count", "Live shared indexes in the registry")
             .set(self.store.index_count() as u64);
@@ -1550,120 +1460,46 @@ impl DcqEngine {
         self.telemetry.sink = sink;
     }
 
-    /// The engine's update log (every applied batch, unbounded by default;
-    /// bound it with [`UpdateLog::with_limit`] via [`DcqEngine::set_log`] or
-    /// compact it explicitly with [`DcqEngine::compact_log`]).
-    pub fn log(&self) -> &UpdateLog {
-        &self.log
-    }
-
-    /// Replace the update log, e.g. to bound retention with
-    /// [`UpdateLog::with_limit`].  Clears history; an empty replacement log is
-    /// rebased to the current epoch so its [`UpdateLog::base_epoch`] stays
-    /// truthful about where in the update stream it starts.
-    pub fn set_log(&mut self, mut log: UpdateLog) {
-        log.rebase(self.store.epoch());
-        self.log = log;
-    }
-
-    /// Compact the update log against a checkpoint of the current store: every
-    /// batch the returned checkpoint already reflects is dropped from the log,
-    /// bounding log memory while preserving replayability **from the
-    /// truncation point** — `checkpoint.database` plus
-    /// [`UpdateLog::replay_onto`]`(…, checkpoint.epoch)` reproduces the
-    /// engine's database of record exactly, now and after any number of
-    /// further batches (each of which the log keeps recording as before).
-    ///
-    /// This is the first slice of checkpoint-based recovery: the caller owns
-    /// durability of the returned [`LogCheckpoint`] (serialize it, ship it to
-    /// object storage, …); the engine only guarantees the arithmetic —
-    /// `checkpoint ⊕ retained log = current state`.
-    ///
-    /// The returned checkpoint **deep-copies** the database of record — the
-    /// in-memory variant costs a second copy of the state.  Callers whose
-    /// checkpoints are headed for a writer anyway should use
-    /// [`DcqEngine::compact_log_to`], which streams the serialized form
-    /// without cloning.
-    pub fn compact_log(&mut self) -> LogCheckpoint {
-        let epoch = self.store.epoch();
-        let compacted_batches = self.log.truncate_before(epoch);
-        if compacted_batches > 0 {
-            self.telemetry.compactions.inc();
-        }
-        LogCheckpoint {
-            epoch,
-            compacted_batches,
-            database: self.store.database().clone(),
-        }
-    }
-
-    /// [`DcqEngine::compact_log`] without the in-memory clone: stream the
-    /// current database of record into `w` as a serialized checkpoint
-    /// ([`dcq_storage::checkpoint`] format — versioned header, CRC), then
-    /// truncate the log prefix the checkpoint subsumes.
-    ///
-    /// The log is only truncated **after** the write succeeds; on error it is
-    /// left intact, so the retained log still covers everything since the last
-    /// durable checkpoint.  Compaction cost is bounded by one traversal of the
-    /// state, not two ([`Relation`] clones *plus* serialization).
-    ///
-    /// Returns `(checkpoint epoch, batches compacted)`.
-    pub fn compact_log_to<W: std::io::Write>(
-        &mut self,
-        w: &mut W,
-    ) -> dcq_storage::Result<(Epoch, usize)> {
-        let epoch = self.store.epoch();
-        dcq_storage::checkpoint::write_checkpoint(w, epoch, self.store.database())?;
-        let compacted_batches = self.log.truncate_before(epoch);
-        if compacted_batches > 0 {
-            self.telemetry.compactions.inc();
-        }
-        Ok((epoch, compacted_batches))
-    }
-
-    /// The scheduled-compaction bounds [`DcqEngine::apply`] checks after every
-    /// batch (default: unbounded, no scheduled compaction).
+    /// The scheduled-checkpoint policy [`DcqEngine::apply`] checks after every
+    /// batch (default: never).
     pub fn compaction_policy(&self) -> CompactionPolicy {
         self.compaction
     }
 
-    /// Install scheduled compaction: after any batch that leaves the retained
-    /// log over a bound, the engine checkpoints the store — through the
-    /// [`CheckpointSink`] when one is installed
-    /// ([`DcqEngine::set_checkpoint_sink`]), truncate-only otherwise — and
-    /// drops the subsumed log prefix.  Successful compactions bump the
-    /// `dcq_engine_compactions_total` counter ([`EngineStats::compactions`]).
+    /// Install scheduled checkpoints: once more than the policy's bound of
+    /// batches were applied since the last checkpoint, the engine writes one
+    /// through the [`CheckpointSink`] ([`DcqEngine::set_checkpoint_sink`]).
+    /// Each successful write bumps `dcq_engine_compactions_total`
+    /// ([`EngineStats::compactions`]).
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
         self.compaction = policy;
     }
 
-    /// Install (or remove) the sink scheduled compaction persists checkpoints
-    /// to.  A sink failure aborts that compaction — the log keeps every batch
-    /// since the last successful checkpoint and
-    /// `dcq_engine_checkpoint_errors_total` is bumped — and the policy retries
-    /// after the next batch.
+    /// Install (or remove) the sink scheduled checkpoints go to.  A sink
+    /// failure bumps `dcq_engine_checkpoint_errors_total`, and the policy
+    /// retries after the next batch.
     pub fn set_checkpoint_sink(&mut self, sink: Option<Box<dyn CheckpointSink>>) {
         self.checkpoint_sink = sink;
     }
 
-    /// The scheduled-compaction step: called from `apply`'s policy tail when a
-    /// [`CompactionPolicy`] bound is exceeded.
-    fn maybe_compact(&mut self) {
-        if !self
+    /// The scheduled-checkpoint step at the end of `apply`'s policy tail.
+    fn maybe_checkpoint(&mut self) {
+        let due = self
             .compaction
-            .exceeded(self.log.len(), self.log.approx_bytes())
-        {
+            .max_retained_batches
+            .is_some_and(|max| self.batches_since_checkpoint > max);
+        if !due {
             return;
         }
-        let epoch = self.store.epoch();
-        if let Some(sink) = self.checkpoint_sink.as_mut() {
-            if let Err(_e) = sink.write_checkpoint(epoch, self.store.database()) {
-                self.telemetry.checkpoint_errors.inc();
-                return;
+        let Some(sink) = self.checkpoint_sink.as_mut() else {
+            return;
+        };
+        match sink.write_checkpoint(self.store.epoch(), self.store.database()) {
+            Ok(()) => {
+                self.batches_since_checkpoint = 0;
+                self.telemetry.compactions.inc();
             }
-        }
-        if self.log.truncate_before(epoch) > 0 {
-            self.telemetry.compactions.inc();
+            Err(_) => self.telemetry.checkpoint_errors.inc(),
         }
     }
 
@@ -1788,7 +1624,6 @@ mod tests {
             assert_eq!(view.epoch(), 1);
         }
         assert_eq!(engine.stats().batches_applied, 1);
-        assert_eq!(engine.log().len(), 1);
     }
 
     #[test]
@@ -2337,78 +2172,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_log_preserves_replayability_from_the_checkpoint() {
-        let mut engine = engine();
-        let easy = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
-
-        let mut batches = Vec::new();
-        for step in 0..6i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([40 + step, step]));
-            if step % 2 == 1 {
-                batch.delete("Graph", int_row([40 + step - 1, step - 1]));
-            }
-            batches.push(batch);
-        }
-        for batch in &batches[..4] {
-            engine.apply(batch).unwrap();
-        }
-        assert_eq!(engine.log().len(), 4);
-
-        // Checkpoint at epoch 4: the log drops its reflected prefix…
-        let checkpoint = engine.compact_log();
-        assert_eq!(checkpoint.epoch, 4);
-        assert_eq!(checkpoint.compacted_batches, 4);
-        assert_eq!(engine.log().len(), 0);
-        assert_eq!(engine.log().base_epoch(), 4);
-        assert_eq!(engine.log().recorded(), 4, "counters survive compaction");
-
-        // …keeps recording from there…
-        for batch in &batches[4..] {
-            engine.apply(batch).unwrap();
-        }
-        assert_eq!(engine.log().len(), 2);
-
-        // …and checkpoint ⊕ retained tail reproduces the database of record.
-        let mut rebuilt = checkpoint.database.clone();
-        engine
-            .log()
-            .replay_onto(&mut rebuilt, checkpoint.epoch)
-            .unwrap();
-        for name in rebuilt.relation_names() {
-            assert_eq!(
-                rebuilt.get(&name).unwrap().sorted_rows(),
-                engine.database().get(&name).unwrap().sorted_rows(),
-                "replay from the truncation point diverged on {name}"
-            );
-        }
-        // The epoch-0 replay is correctly refused, and views were untouched.
-        let mut scratch = checkpoint.database.clone();
-        assert!(matches!(
-            engine.log().replay(&mut scratch),
-            Err(StorageError::TruncatedLog { .. })
-        ));
-        let expected = baseline_dcq(
-            engine.view(easy).unwrap().dcq(),
-            engine.database(),
-            CqStrategy::Vanilla,
-        )
-        .unwrap();
-        assert_eq!(
-            engine.result(easy).unwrap().sorted_rows(),
-            expected.sorted_rows()
-        );
-
-        // A compaction with nothing new to drop is a cheap no-op.
-        assert_eq!(engine.compact_log().compacted_batches, 2);
-        assert_eq!(engine.compact_log().compacted_batches, 0);
-
-        // A fresh bounded log installed mid-stream starts at the current epoch.
-        engine.set_log(UpdateLog::with_limit(2));
-        assert_eq!(engine.log().base_epoch(), 6);
-    }
-
-    #[test]
     fn scheduled_compaction_policy_bounds_the_log() {
         let mut engine = engine();
         engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
@@ -2419,124 +2182,70 @@ mod tests {
         );
 
         // Checkpoints go to an in-memory sink; each write records its epoch.
-        type WrittenCheckpoints = std::sync::Arc<std::sync::Mutex<Vec<(Epoch, Vec<u8>)>>>;
-        let written: WrittenCheckpoints = std::sync::Arc::default();
-        let sink_log = std::sync::Arc::clone(&written);
-        engine.set_checkpoint_sink(Some(Box::new(
-            move |epoch: Epoch, db: &Database| -> std::io::Result<()> {
+        type WrittenCheckpoints = Arc<std::sync::Mutex<Vec<(Epoch, Vec<u8>)>>>;
+        let written: WrittenCheckpoints = Arc::default();
+        let recording_sink = |written: &WrittenCheckpoints| -> Box<dyn CheckpointSink> {
+            let written = Arc::clone(written);
+            Box::new(move |epoch: Epoch, db: &Database| -> std::io::Result<()> {
                 let mut buf = Vec::new();
                 dcq_storage::checkpoint::write_checkpoint(&mut buf, epoch, db)
                     .map_err(std::io::Error::other)?;
-                sink_log.lock().unwrap().push((epoch, buf));
+                written.lock().unwrap().push((epoch, buf));
                 Ok(())
-            },
-        )));
+            })
+        };
+        let epochs = |written: &WrittenCheckpoints| -> Vec<Epoch> {
+            written.lock().unwrap().iter().map(|(e, _)| *e).collect()
+        };
+        let mut next = 0i64;
+        let mut apply = |engine: &mut DcqEngine, n: usize| {
+            for _ in 0..n {
+                let mut batch = DeltaBatch::new();
+                batch.insert("Graph", int_row([70 + next, next]));
+                next += 1;
+                engine.apply(&batch).unwrap();
+            }
+        };
 
-        for step in 0..12i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([70 + step, step]));
-            engine.apply(&batch).unwrap();
-            assert!(
-                engine.log().len() <= 5,
-                "policy must keep the log at or under its bound"
-            );
-        }
-        let stats = engine.stats();
-        assert!(stats.compactions >= 2, "12 batches over a 5-batch bound");
+        // Every sixth batch over a 5-batch bound is checkpointed, and the
+        // checkpoint is the database of record at its epoch.
+        engine.set_checkpoint_sink(Some(recording_sink(&written)));
+        apply(&mut engine, 12);
+        assert_eq!(epochs(&written), vec![6, 12]);
+        assert_eq!(engine.stats().compactions, 2);
         assert!(engine.metrics().contains("dcq_engine_compactions_total 2"));
-
-        // Every sink checkpoint ⊕ the log tail at that epoch was consistent;
-        // the newest one ⊕ the retained tail reproduces the current state.
         let (epoch, bytes) = written.lock().unwrap().last().cloned().unwrap();
-        let (read_epoch, mut rebuilt) =
+        let (read_epoch, rebuilt) =
             dcq_storage::checkpoint::read_checkpoint(&mut bytes.as_slice()).unwrap();
-        assert_eq!(read_epoch, epoch);
-        assert_eq!(engine.log().base_epoch(), epoch);
-        engine.log().replay_onto(&mut rebuilt, epoch).unwrap();
+        assert_eq!((epoch, read_epoch), (12, engine.epoch()));
         assert_eq!(
             rebuilt.get("Graph").unwrap().sorted_rows(),
             engine.database().get("Graph").unwrap().sorted_rows()
         );
 
-        // A failing sink aborts compaction and leaves the log intact.
+        // A failing sink is retried after every batch past the bound…
         engine.set_checkpoint_sink(Some(Box::new(
             |_: Epoch, _: &Database| -> std::io::Result<()> {
                 Err(std::io::Error::other("disk on fire"))
             },
         )));
-        let before = engine.stats().compactions;
-        for step in 0..8i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([700 + step, step]));
-            engine.apply(&batch).unwrap();
-        }
-        assert_eq!(engine.stats().compactions, before);
-        assert!(
-            engine.log().len() > 5,
-            "no checkpoint persisted, so nothing may be dropped"
-        );
+        apply(&mut engine, 8);
+        assert_eq!(engine.stats().compactions, 2);
         assert!(engine
             .metrics()
             .contains("dcq_engine_checkpoint_errors_total 3"));
+        // …and the first write that succeeds covers every batch since epoch 12.
+        engine.set_checkpoint_sink(Some(recording_sink(&written)));
+        apply(&mut engine, 1);
+        assert_eq!(epochs(&written), vec![6, 12, 21]);
 
-        // Byte-bounded policies trip on footprint instead of count.
-        let policy = CompactionPolicy::max_log_bytes(1);
-        assert!(policy.is_bounded());
-        assert!(policy.exceeded(1, 2));
-        assert!(!policy.exceeded(100, 1));
+        // Without a sink the policy has nothing to persist.
         engine.set_checkpoint_sink(None);
-        engine.set_compaction_policy(policy);
-        let mut batch = DeltaBatch::new();
-        batch.insert("Graph", int_row([999, 999]));
-        engine.apply(&batch).unwrap();
-        assert!(engine.log().is_empty(), "truncate-only compaction applies");
-    }
-
-    #[test]
-    fn compact_log_to_streams_without_cloning_and_recovers() {
-        let mut engine = engine();
-        engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
-        for step in 0..4i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([80 + step, step]));
-            engine.apply(&batch).unwrap();
-        }
-        let mut buf = Vec::new();
-        let (epoch, compacted) = engine.compact_log_to(&mut buf).unwrap();
-        assert_eq!((epoch, compacted), (4, 4));
-        assert!(engine.log().is_empty());
-        assert_eq!(engine.stats().compactions, 1);
-
-        // Two more batches after the checkpoint…
-        for step in 4..6i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([80 + step, step]));
-            engine.apply(&batch).unwrap();
-        }
-
-        // …and `with_database_at` + replay recovers state *and* epoch.
-        let checkpoint = LogCheckpoint::from_reader(&mut buf.as_slice()).unwrap();
-        assert_eq!(checkpoint.epoch, 4);
-        let mut rebuilt = checkpoint.database;
-        engine.log().replay_onto(&mut rebuilt, 4).unwrap();
-        let recovered = DcqEngine::with_database_at(rebuilt, engine.epoch());
-        assert_eq!(recovered.epoch(), 6);
-        assert_eq!(recovered.log().base_epoch(), 6);
-        assert_eq!(
-            recovered.database().get("Graph").unwrap().sorted_rows(),
-            engine.database().get("Graph").unwrap().sorted_rows()
-        );
-
-        // LogCheckpoint::to_writer round-trips through the same format.
-        let direct = engine.compact_log();
-        let mut via_checkpoint = Vec::new();
-        direct.to_writer(&mut via_checkpoint).unwrap();
-        let back = LogCheckpoint::from_reader(&mut via_checkpoint.as_slice()).unwrap();
-        assert_eq!(back.epoch, direct.epoch);
-        assert_eq!(
-            back.database.get("Graph").unwrap().sorted_rows(),
-            direct.database.get("Graph").unwrap().sorted_rows()
-        );
+        apply(&mut engine, 12);
+        assert_eq!(engine.stats().compactions, 3);
+        assert!(engine
+            .metrics()
+            .contains("dcq_engine_checkpoint_errors_total 3"));
     }
 
     #[test]
@@ -2545,7 +2254,6 @@ mod tests {
         fn assert_sync<T: Sync>() {}
         assert_send::<DcqEngine>();
         assert_sync::<DcqEngine>();
-        assert_send::<LogCheckpoint>();
         assert_sync::<SharedDatabase>();
     }
 
@@ -2568,8 +2276,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.batches_applied, 1);
         assert_eq!(stats.views_registered, 2);
-        assert_eq!(stats.log_len, 1);
-        assert_eq!(stats.log_base_epoch, 0);
         assert_eq!(stats.workers, 2);
         assert_eq!(stats.pool_live, 2, "two counting sides live");
         assert_eq!(stats.pool_shared, 0);
@@ -2583,7 +2289,6 @@ mod tests {
             "dcq_engine_view_handles 2",
             "dcq_engine_distinct_views 2",
             "dcq_engine_workers 2",
-            "dcq_engine_update_log_len 1",
             "dcq_engine_commit_ns_count",
             "dcq_engine_fanout_ns_bucket",
             "dcq_engine_view_cost_ns_sum",

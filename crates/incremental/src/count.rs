@@ -271,11 +271,11 @@ impl CountingCq {
             deletion_index_builds: 0,
             fold_partitions: 1,
             last_partition_ns: Vec::new(),
-            index_probes: tele::Counter::default(),
-            compensated_masks: tele::Counter::default(),
-            compensated_restores: tele::Counter::default(),
-            folds_owned: tele::Counter::default(),
-            fold_hits_shared: tele::Counter::default(),
+            index_probes: Default::default(),
+            compensated_masks: Default::default(),
+            compensated_restores: Default::default(),
+            folds_owned: Default::default(),
+            fold_hits_shared: Default::default(),
         };
 
         // Seed: fold the full current contents as one batch of inserts.  The

@@ -68,10 +68,6 @@ pub(crate) struct WalWriter {
     path: PathBuf,
     file: BufWriter<File>,
     fsync: bool,
-    /// Frames appended since the last rotation.
-    pub(crate) records: u64,
-    /// Bytes appended since the last rotation (incl. header).
-    pub(crate) bytes: u64,
 }
 
 impl WalWriter {
@@ -84,27 +80,19 @@ impl WalWriter {
         if fsync {
             file.get_ref().sync_all()?;
         }
-        Ok(WalWriter {
-            path,
-            file,
-            fsync,
-            records: 0,
-            bytes: 0,
-        })
+        Ok(WalWriter { path, file, fsync })
     }
 
     /// Append one batch frame and push it out of the process (flush, plus
-    /// `sync_all` when configured).  Must complete before the batch is
-    /// acknowledged.
-    pub(crate) fn append(&mut self, batch: &DeltaBatch) -> io::Result<()> {
+    /// `sync_all` when configured), returning the frame's size in bytes.
+    /// Must complete before the batch is acknowledged.
+    pub(crate) fn append(&mut self, batch: &DeltaBatch) -> io::Result<usize> {
         let wrote = write_batch_frame(&mut self.file, batch).map_err(storage_to_io)?;
         self.file.flush()?;
         if self.fsync {
             self.file.get_ref().sync_all()?;
         }
-        self.records += 1;
-        self.bytes += wrote as u64;
-        Ok(())
+        Ok(wrote)
     }
 
     /// Atomically replace the WAL with an empty one based at `epoch`
@@ -122,8 +110,6 @@ impl WalWriter {
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
-        self.records = 0;
-        self.bytes = 0;
         Ok(())
     }
 }

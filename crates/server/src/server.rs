@@ -568,14 +568,17 @@ fn ingest_loop(
                         .lock()
                         .unwrap_or_else(|p| p.into_inner())
                         .append(&batch);
-                    if let Err(e) = appended {
-                        let why = format!("WAL append failed: {e}");
-                        poisoned = Some(why.clone());
-                        reply.fill(Err(why));
-                        continue;
-                    }
+                    let wrote = match appended {
+                        Ok(wrote) => wrote,
+                        Err(e) => {
+                            let why = format!("WAL append failed: {e}");
+                            poisoned = Some(why.clone());
+                            reply.fill(Err(why));
+                            continue;
+                        }
+                    };
                     shared.metrics.wal_records.inc();
-                    shared.metrics.wal_bytes.add(batch.approx_bytes() as u64);
+                    shared.metrics.wal_bytes.add(wrote as u64);
                 }
                 let started = Instant::now();
                 match engine.apply(&batch) {

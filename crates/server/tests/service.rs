@@ -6,6 +6,7 @@ use dcq_engine::{CompactionPolicy, DcqEngine};
 use dcq_server::client::{DcqClient, PushOutcome, RETRY_HINT_CAP_MS};
 use dcq_server::loadgen::parse_metric;
 use dcq_server::{recover, DcqServer, DurabilityConfig, ServerConfig};
+use dcq_storage::checkpoint::write_wal_header;
 use dcq_storage::row::int_row;
 use dcq_storage::{Database, DeltaBatch, Relation};
 use std::path::PathBuf;
@@ -400,12 +401,22 @@ fn torn_wal_tail_recovers_to_the_last_intact_epoch() {
     for step in 0..10 {
         client.push(&edge_batch(step)).unwrap();
     }
+    let metrics = client.metrics().unwrap();
     server.kill().unwrap();
+
+    // The WAL-bytes counter counts exactly the frames on disk after the
+    // header.
+    let wal = dir.join("wal.log");
+    let len = std::fs::metadata(&wal).unwrap().len();
+    let mut header = Vec::new();
+    write_wal_header(&mut header, 0).unwrap();
+    assert_eq!(
+        parse_metric(&metrics, "dcq_server_wal_bytes_total"),
+        Some(len - header.len() as u64)
+    );
 
     // Power-loss simulation: the tail of the last appended frame never made
     // it to disk.
-    let wal = dir.join("wal.log");
-    let len = std::fs::metadata(&wal).unwrap().len();
     let file = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
     file.set_len(len - 3).unwrap();
     drop(file);

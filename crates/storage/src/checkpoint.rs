@@ -1,4 +1,4 @@
-//! Durable on-disk serialization for checkpoints and update logs.
+//! Durable on-disk serialization for checkpoints and the write-ahead log.
 //!
 //! Every artifact shares one framing discipline: an 8-byte magic, a version
 //! byte, a little-endian length, the payload, and a CRC-32 (IEEE) over the
@@ -6,15 +6,11 @@
 //! single payload byte, and every failure — truncation included — surfaces as
 //! a typed [`StorageError`], never a panic.
 //!
-//! Three artifact kinds are defined here:
+//! Two artifact kinds are defined here:
 //!
 //! * **Checkpoint** ([`write_checkpoint`] / [`read_checkpoint`]) — one
-//!   [`Database`] snapshot tagged with the epoch it was taken at.  This is the
-//!   serialized form of an engine's `LogCheckpoint` and the base state of
-//!   crash recovery.
-//! * **Update log** ([`UpdateLog::to_writer`] / [`UpdateLog::from_reader`]) —
-//!   a whole retained log (batches + counters + base epoch) in one framed
-//!   payload.
+//!   [`Database`] snapshot tagged with the epoch it was taken at: the base
+//!   state of crash recovery.
 //! * **WAL frames** ([`write_wal_header`], [`write_batch_frame`] /
 //!   [`read_batch_frame`]) — an append-friendly stream of individually
 //!   CRC-framed [`DeltaBatch`]es for write-ahead logging.  Each frame is
@@ -27,7 +23,7 @@
 //! payload carries a **file-local value dictionary** (each distinct
 //! [`Value`] once, in first-occurrence order) and encodes rows as dense
 //! `u32` id tuples against it — checkpoint relations as flat id *columns*,
-//! log/WAL batches as id rows.  Values that repeat across rows (the common
+//! WAL batches as id rows.  Values that repeat across rows (the common
 //! case for graph data) are serialized once instead of per occurrence.  WAL
 //! batch frames use a frame-local dictionary so each frame stays
 //! independently replayable; the WAL *file* version is declared by its
@@ -38,10 +34,11 @@
 //! [`StorageError::UnsupportedVersion`].
 //!
 //! The recovery invariant the formats exist to uphold:
-//! `checkpoint ⊕ retained log = current state`.
+//! `checkpoint ⊕ WAL tail = current state`, where the tail is every WAL frame
+//! past the checkpoint's epoch.
 
 use crate::database::Database;
-use crate::delta::{DeltaBatch, DeltaEffect, UpdateLog};
+use crate::delta::DeltaBatch;
 use crate::hash::FastHashMap;
 use crate::relation::Relation;
 use crate::row::Row;
@@ -54,8 +51,6 @@ use std::sync::OnceLock;
 
 /// Magic prefix of a serialized checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"DCQSNAP\0";
-/// Magic prefix of a serialized update-log file.
-pub const LOG_MAGIC: &[u8; 8] = b"DCQLOG\0\0";
 /// Magic prefix of a write-ahead-log file.
 pub const WAL_MAGIC: &[u8; 8] = b"DCQWAL\0\0";
 /// The one serialization format version this build reads and writes.
@@ -505,70 +500,6 @@ pub fn read_checkpoint<R: Read>(r: &mut R) -> Result<(Epoch, Database)> {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-log serialization
-// ---------------------------------------------------------------------------
-
-impl UpdateLog {
-    /// Serialize the whole log — retained batches, lifetime counters, base
-    /// epoch and retention limit — as one framed, checksummed payload, with
-    /// every batch row encoded against one file-local dictionary.
-    pub fn to_writer<W: Write>(&self, w: &mut W) -> Result<()> {
-        let mut dict = FileDict::default();
-        for batch in &self.batches {
-            dict.absorb_batch(batch);
-        }
-        let mut enc = Enc::new();
-        enc.u64(self.base_epoch);
-        enc.u64(self.limit.map(|l| l as u64).unwrap_or(u64::MAX));
-        enc.u8(self.truncated as u8);
-        enc.u64(self.recorded as u64);
-        enc.u64(self.total.inserted as u64);
-        enc.u64(self.total.deleted as u64);
-        enc.dict(&dict);
-        enc.u32(self.batches.len() as u32);
-        for batch in &self.batches {
-            enc.batch(batch, &dict);
-        }
-        write_framed(w, LOG_MAGIC, &enc.buf)
-    }
-
-    /// Read back a log written by [`UpdateLog::to_writer`].  Corruption —
-    /// including truncated input — yields a typed [`StorageError`], never a
-    /// panic.
-    pub fn from_reader<R: Read>(r: &mut R) -> Result<UpdateLog> {
-        const ARTIFACT: &str = "update log";
-        let payload = read_framed(r, LOG_MAGIC, ARTIFACT)?;
-        let mut dec = Dec::new(&payload, ARTIFACT);
-        let base_epoch = dec.u64()?;
-        let limit = match dec.u64()? {
-            u64::MAX => None,
-            l => Some(l as usize),
-        };
-        let truncated = dec.u8()? != 0;
-        let recorded = dec.u64()? as usize;
-        let total = DeltaEffect {
-            inserted: dec.u64()? as usize,
-            deleted: dec.u64()? as usize,
-        };
-        let dict = dec.dict()?;
-        let count = dec.u32()?;
-        let mut batches = std::collections::VecDeque::with_capacity(count as usize);
-        for _ in 0..count {
-            batches.push_back(dec.batch(&dict)?);
-        }
-        dec.finish()?;
-        Ok(UpdateLog {
-            batches,
-            total,
-            recorded,
-            limit,
-            truncated,
-            base_epoch,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // WAL frames
 // ---------------------------------------------------------------------------
 
@@ -753,29 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn update_log_round_trips_with_counters() {
-        let mut db = sample_db();
-        let mut log = UpdateLog::with_limit(8);
-        for step in 0..5 {
-            let batch = sample_batch(step);
-            let effect = db.apply_batch(&batch).unwrap().effect;
-            log.record(batch, effect);
-        }
-        log.truncate_before(2);
-        let mut buf = Vec::new();
-        log.to_writer(&mut buf).unwrap();
-        let back = UpdateLog::from_reader(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.base_epoch(), log.base_epoch());
-        assert_eq!(back.len(), log.len());
-        assert_eq!(back.recorded(), log.recorded());
-        assert_eq!(back.is_truncated(), log.is_truncated());
-        assert_eq!(back.total_effect(), log.total_effect());
-        let orig: Vec<_> = log.batches().cloned().collect();
-        let round: Vec<_> = back.batches().cloned().collect();
-        assert_eq!(orig, round);
-    }
-
-    #[test]
     fn wal_frames_round_trip_and_stop_cleanly() {
         let mut buf = Vec::new();
         write_wal_header(&mut buf, 41).unwrap();
@@ -856,16 +764,11 @@ mod tests {
             read_checkpoint(&mut wrong_magic.as_slice()),
             Err(StorageError::Corrupt { .. })
         ));
-        let mut log = UpdateLog::new();
-        log.record(sample_batch(0), DeltaEffect::default());
-        let mut log_buf = Vec::new();
-        log.to_writer(&mut log_buf).unwrap();
         let mut wal_buf = Vec::new();
         write_wal_header(&mut wal_buf, 3).unwrap();
         type Reader = fn(&[u8]) -> Result<()>;
-        let artifacts: [(&[u8], Reader); 3] = [
+        let artifacts: [(&[u8], Reader); 2] = [
             (&buf, |b| read_checkpoint(&mut &b[..]).map(drop)),
-            (&log_buf, |b| UpdateLog::from_reader(&mut &b[..]).map(drop)),
             (&wal_buf, |b| read_wal_header(&mut &b[..]).map(drop)),
         ];
         for (bytes, read) in artifacts {
@@ -884,22 +787,28 @@ mod tests {
 
     #[test]
     fn corrupted_log_is_a_typed_error() {
-        let mut log = UpdateLog::new();
-        log.record(sample_batch(0), DeltaEffect::default());
+        // A write-ahead log cut inside its header, or with a flipped byte in
+        // the header or a frame, is typed corruption — never a panic.
         let mut buf = Vec::new();
-        log.to_writer(&mut buf).unwrap();
-        for cut in [0, 5, 9, 17, buf.len() - 1] {
+        write_wal_header(&mut buf, 0).unwrap();
+        let header_len = buf.len();
+        write_batch_frame(&mut buf, &sample_batch(0)).unwrap();
+        for cut in 0..header_len {
             assert!(matches!(
-                UpdateLog::from_reader(&mut &buf[..cut]),
+                read_wal_header(&mut &buf[..cut]),
                 Err(StorageError::Corrupt { .. })
             ));
         }
-        let last = buf.len() - 1;
-        buf[last] ^= 0x01;
-        assert!(matches!(
-            UpdateLog::from_reader(&mut buf.as_slice()),
-            Err(StorageError::Corrupt { .. })
-        ));
+        for flip in [header_len - 1, buf.len() - 1] {
+            let mut damaged = buf.clone();
+            damaged[flip] ^= 0x01;
+            let mut r = damaged.as_slice();
+            let read = read_wal_header(&mut r).and_then(|_| read_batch_frame(&mut r));
+            assert!(
+                matches!(read, Err(StorageError::Corrupt { .. })),
+                "flip at {flip} gave {read:?}"
+            );
+        }
     }
 
     #[test]
@@ -907,10 +816,5 @@ mod tests {
         let empty = DeltaBatch::new();
         let loaded = sample_batch(0);
         assert!(loaded.approx_bytes() > empty.approx_bytes());
-        let mut log = UpdateLog::new();
-        assert_eq!(log.approx_bytes(), 0);
-        log.record(loaded.clone(), DeltaEffect::default());
-        log.record(loaded.clone(), DeltaEffect::default());
-        assert_eq!(log.approx_bytes(), 2 * loaded.approx_bytes());
     }
 }

@@ -11,14 +11,12 @@
 //! * [`DeltaBatch`] — one batch of raw signed operations, grouped per relation,
 //! * [`normalize_delta`] — reduce a raw per-relation delta to its *net, set-semantics
 //!   effect* against the current relation membership,
-//! * [`Relation::apply_delta`] / [`Database::apply_batch`] — apply updates in place,
-//! * [`UpdateLog`] — an append-only history of applied batches (replayable).
+//! * [`Relation::apply_delta`] / [`Database::apply_batch`] — apply updates in place.
 
 use crate::database::Database;
 use crate::hash::{map_with_capacity, set_with_capacity, FastHashMap, FastHashSet};
 use crate::relation::Relation;
 use crate::row::Row;
-use crate::shared::Epoch;
 use crate::{Result, StorageError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -91,9 +89,10 @@ impl DeltaBatch {
     }
 
     /// Rough in-memory footprint of the batch in bytes, counting the op
-    /// vectors, row storage, and string payloads.  Compaction policies use
-    /// this (via [`UpdateLog::approx_bytes`]) to bound retained-log memory;
-    /// it deliberately mirrors [`Relation::approx_bytes`]'s accounting.
+    /// vectors, row storage, and string payloads; it deliberately mirrors
+    /// [`Relation::approx_bytes`]'s accounting.  This is not the batch's
+    /// serialized size: [`write_batch_frame`](crate::checkpoint::write_batch_frame)
+    /// returns that.
     pub fn approx_bytes(&self) -> usize {
         let mut bytes = std::mem::size_of::<Self>();
         for (name, ops) in &self.ops {
@@ -302,204 +301,6 @@ impl Database {
     }
 }
 
-/// Append-only history of delta batches applied to a database.
-///
-/// The log is the replayable source of truth for an incremental maintenance engine:
-/// a fresh snapshot plus `replay` reproduces the maintained state, which is how the
-/// equivalence property tests validate [`DcqView`](https://docs.rs/dcq-incremental)
-/// against full recomputation.
-///
-/// Long-lived consumers bound the log one of two ways: a retention *limit*
-/// ([`UpdateLog::with_limit`] — the oldest batches fall off as new ones are
-/// recorded) or explicit *compaction* ([`UpdateLog::truncate_before`] — an
-/// engine checkpoints its store and drops the prefix the checkpoint subsumes).
-/// Either way the log tracks its [`base epoch`](UpdateLog::base_epoch): the
-/// epoch of the database state the oldest **retained** batch applies to.  A
-/// truncated log refuses the epoch-0 [`UpdateLog::replay`] (a partial replay
-/// from the original state would silently produce the wrong result) but stays
-/// fully replayable from a snapshot at its base epoch via
-/// [`UpdateLog::replay_onto`].  Counters keep accumulating across truncation.
-#[derive(Clone, Debug, Default)]
-pub struct UpdateLog {
-    // Fields are `pub(crate)` so `crate::checkpoint` can (de)serialize the log
-    // without widening the public API.
-    pub(crate) batches: std::collections::VecDeque<DeltaBatch>,
-    pub(crate) total: DeltaEffect,
-    pub(crate) recorded: usize,
-    pub(crate) limit: Option<usize>,
-    pub(crate) truncated: bool,
-    /// Epoch of the state *before* the oldest retained batch: batch `i` of
-    /// [`UpdateLog::batches`] advances epoch `base_epoch + i` to
-    /// `base_epoch + i + 1`.
-    pub(crate) base_epoch: Epoch,
-}
-
-impl UpdateLog {
-    /// Create an empty, unbounded log starting at epoch 0.
-    pub fn new() -> Self {
-        UpdateLog::default()
-    }
-
-    /// Create an empty log retaining at most `limit` batches.
-    pub fn with_limit(limit: usize) -> Self {
-        UpdateLog {
-            limit: Some(limit.max(1)),
-            ..UpdateLog::default()
-        }
-    }
-
-    /// Append an applied batch together with its observed effect.
-    pub fn record(&mut self, batch: DeltaBatch, effect: DeltaEffect) {
-        self.total.absorb(effect);
-        self.recorded += 1;
-        self.batches.push_back(batch);
-        if let Some(limit) = self.limit {
-            while self.batches.len() > limit {
-                self.batches.pop_front();
-                self.truncated = true;
-                self.base_epoch += 1;
-            }
-        }
-    }
-
-    /// The epoch of the database state the oldest retained batch applies to
-    /// (`0` until the log is truncated or rebased).  Replaying the retained
-    /// batches onto a snapshot taken at this epoch reproduces the state after
-    /// the newest retained batch.
-    pub fn base_epoch(&self) -> Epoch {
-        self.base_epoch
-    }
-
-    /// Drop every retained batch that is already reflected in a database state
-    /// at `epoch`, i.e. the batches advancing epochs up to and including
-    /// `epoch`; returns how many were dropped.
-    ///
-    /// This is the compaction primitive: an engine that snapshots its store at
-    /// `epoch` calls this to bound log memory while keeping the tail
-    /// replayable ([`UpdateLog::replay_onto`] from that snapshot).  An `epoch`
-    /// beyond the newest retained batch clears the log and rebases it at
-    /// `epoch`; one at or below [`UpdateLog::base_epoch`] is a no-op.
-    pub fn truncate_before(&mut self, epoch: Epoch) -> usize {
-        let mut dropped = 0;
-        while self.base_epoch < epoch && self.batches.pop_front().is_some() {
-            dropped += 1;
-            self.base_epoch += 1;
-        }
-        // Ran out of retained batches below the target (or the log was empty):
-        // jump the base so later snapshot-and-replay pairs still line up.
-        if self.base_epoch < epoch {
-            self.base_epoch = epoch;
-        }
-        if dropped > 0 {
-            self.truncated = true;
-        }
-        dropped
-    }
-
-    /// Rebase an **empty** log to start at `epoch` (no-op with batches
-    /// retained): an engine installing a fresh log mid-stream records where in
-    /// the epoch sequence the log begins, so [`UpdateLog::replay_onto`] pairs
-    /// it with the right snapshot.  Returns `true` iff the rebase applied.
-    pub fn rebase(&mut self, epoch: Epoch) -> bool {
-        if !self.batches.is_empty() || self.base_epoch == epoch {
-            return false;
-        }
-        self.base_epoch = epoch;
-        true
-    }
-
-    /// Number of currently retained batches.
-    pub fn len(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// `true` iff no batch is retained.
-    pub fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-
-    /// Total number of batches ever recorded (including dropped ones).
-    pub fn recorded(&self) -> usize {
-        self.recorded
-    }
-
-    /// `true` iff old batches have been dropped to honour the retention limit.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated
-    }
-
-    /// The retained batches, oldest first.
-    pub fn batches(&self) -> impl Iterator<Item = &DeltaBatch> {
-        self.batches.iter()
-    }
-
-    /// Net tuples inserted / deleted across the whole log (including dropped
-    /// batches).
-    pub fn total_effect(&self) -> DeltaEffect {
-        self.total
-    }
-
-    /// Rough in-memory footprint of the retained batches in bytes
-    /// ([`DeltaBatch::approx_bytes`] summed).  `O(total retained ops)` — cheap
-    /// relative to recording the batches, but engines on a hot path should
-    /// track it incrementally rather than re-summing per batch.
-    pub fn approx_bytes(&self) -> usize {
-        self.batches.iter().map(DeltaBatch::approx_bytes).sum()
-    }
-
-    /// Re-apply every recorded batch, in order, to a database snapshot taken at
-    /// epoch 0 (the original registration state).
-    ///
-    /// Fails with [`StorageError::TruncatedLog`] if batches have been dropped
-    /// or the log was rebased — a partial replay from the original state would
-    /// not reproduce the maintained one.  Use [`UpdateLog::replay_onto`] with a
-    /// checkpoint at [`UpdateLog::base_epoch`] instead.
-    pub fn replay(&self, db: &mut Database) -> Result<DeltaEffect> {
-        if self.truncated {
-            return Err(StorageError::TruncatedLog {
-                retained: self.batches.len(),
-                recorded: self.recorded,
-            });
-        }
-        // Never truncated but rebased to a later start: nothing was lost, the
-        // caller just needs a snapshot at the base epoch — say so instead of
-        // reporting phantom data loss.
-        if self.base_epoch != 0 {
-            return Err(StorageError::LogEpochMismatch {
-                snapshot: 0,
-                base: self.base_epoch,
-            });
-        }
-        self.replay_retained(db)
-    }
-
-    /// Re-apply the **retained** batches, in order, to a database snapshot
-    /// taken at `snapshot_epoch` — which must equal [`UpdateLog::base_epoch`],
-    /// or the replay would silently skip (or double-apply) a stretch of the
-    /// update stream ([`StorageError::LogEpochMismatch`]).
-    ///
-    /// This is the recovery half of log compaction: `checkpoint the store at
-    /// epoch e` + `truncate_before(e)` keeps `checkpoint ⊕ replay_onto(·, e) =
-    /// current state` as an invariant while bounding log memory.
-    pub fn replay_onto(&self, db: &mut Database, snapshot_epoch: Epoch) -> Result<DeltaEffect> {
-        if snapshot_epoch != self.base_epoch {
-            return Err(StorageError::LogEpochMismatch {
-                snapshot: snapshot_epoch,
-                base: self.base_epoch,
-            });
-        }
-        self.replay_retained(db)
-    }
-
-    fn replay_retained(&self, db: &mut Database) -> Result<DeltaEffect> {
-        let mut effect = DeltaEffect::default();
-        for batch in &self.batches {
-            effect.absorb(db.apply_batch(batch)?.effect);
-        }
-        Ok(effect)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,163 +447,5 @@ mod tests {
         let mut bad = DeltaBatch::new();
         bad.insert("Nope", int_row([1]));
         assert!(db.apply_batch(&bad).is_err());
-    }
-
-    #[test]
-    fn update_log_replays_to_same_state() {
-        let mut db = Database::new();
-        db.add(graph()).unwrap();
-        let snapshot = db.clone();
-
-        let mut log = UpdateLog::new();
-        assert!(log.is_empty());
-        for step in 0..5i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([10 + step, step]));
-            batch.delete("Graph", int_row([1, 2]));
-            let effect = db.apply_batch(&batch).unwrap().effect;
-            log.record(batch, effect);
-        }
-        assert_eq!(log.len(), 5);
-        assert_eq!(log.batches().count(), 5);
-        assert_eq!(log.recorded(), 5);
-        assert!(!log.is_truncated());
-        // Deleting (1,2) succeeds only the first time.
-        assert_eq!(
-            log.total_effect(),
-            DeltaEffect {
-                inserted: 5,
-                deleted: 1
-            }
-        );
-
-        let mut replayed = snapshot;
-        let effect = log.replay(&mut replayed).unwrap();
-        assert_eq!(effect, log.total_effect());
-        assert_eq!(
-            replayed.get("Graph").unwrap().sorted_rows(),
-            db.get("Graph").unwrap().sorted_rows()
-        );
-    }
-
-    #[test]
-    fn truncate_before_keeps_the_tail_replayable_from_the_checkpoint() {
-        let mut db = Database::new();
-        db.add(graph()).unwrap();
-        let mut log = UpdateLog::new();
-        assert_eq!(log.base_epoch(), 0);
-
-        // Epochs 1..=6: apply six batches, checkpointing the state at epoch 4.
-        let mut checkpoint: Option<Database> = None;
-        for step in 0..6i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([30 + step, step]));
-            if step % 2 == 0 {
-                batch.delete("Graph", int_row([30 + step - 2, step - 2]));
-            }
-            let effect = db.apply_batch(&batch).unwrap().effect;
-            log.record(batch, effect);
-            if step == 3 {
-                checkpoint = Some(db.clone());
-            }
-        }
-        let checkpoint = checkpoint.unwrap();
-
-        // Compact everything the epoch-4 checkpoint already reflects.
-        assert_eq!(log.truncate_before(4), 4);
-        assert_eq!(log.base_epoch(), 4);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.recorded(), 6);
-        assert!(log.is_truncated());
-
-        // Replayability from the truncation point is preserved exactly:
-        // checkpoint ⊕ retained tail = current state.
-        let mut rebuilt = checkpoint.clone();
-        log.replay_onto(&mut rebuilt, 4).unwrap();
-        assert_eq!(
-            rebuilt.get("Graph").unwrap().sorted_rows(),
-            db.get("Graph").unwrap().sorted_rows()
-        );
-
-        // The epoch-0 replay and mismatched snapshots are refused.
-        let mut from_scratch = Database::new();
-        from_scratch.add(graph()).unwrap();
-        assert!(matches!(
-            log.replay(&mut from_scratch),
-            Err(StorageError::TruncatedLog { .. })
-        ));
-        assert!(matches!(
-            log.replay_onto(&mut checkpoint.clone(), 3),
-            Err(StorageError::LogEpochMismatch {
-                snapshot: 3,
-                base: 4
-            })
-        ));
-
-        // Truncating at or below the base is a no-op; truncating past the
-        // newest retained batch clears the log and rebases it there.
-        assert_eq!(log.truncate_before(4), 0);
-        assert_eq!(log.truncate_before(9), 2);
-        assert!(log.is_empty());
-        assert_eq!(log.base_epoch(), 9);
-        let mut at_nine = db.clone();
-        assert_eq!(
-            log.replay_onto(&mut at_nine, 9).unwrap(),
-            DeltaEffect::default()
-        );
-    }
-
-    #[test]
-    fn rebase_applies_only_to_empty_logs() {
-        let mut log = UpdateLog::new();
-        assert!(log.rebase(7));
-        assert_eq!(log.base_epoch(), 7);
-        assert!(!log.rebase(7), "same epoch is a no-op");
-        // A rebased-but-complete log refuses the epoch-0 replay with the
-        // epoch-mismatch error (nothing was truncated — no phantom data loss).
-        let mut db = Database::new();
-        db.add(graph()).unwrap();
-        assert!(matches!(
-            log.replay(&mut db),
-            Err(StorageError::LogEpochMismatch {
-                snapshot: 0,
-                base: 7
-            })
-        ));
-        assert_eq!(log.replay_onto(&mut db, 7).unwrap(), DeltaEffect::default());
-        log.record(DeltaBatch::new(), DeltaEffect::default());
-        assert!(!log.rebase(9), "non-empty logs cannot be rebased");
-        assert_eq!(log.base_epoch(), 7);
-    }
-
-    #[test]
-    fn bounded_log_truncates_and_refuses_replay() {
-        let mut db = Database::new();
-        db.add(graph()).unwrap();
-        let mut log = UpdateLog::with_limit(3);
-        for step in 0..5i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([20 + step, step]));
-            let effect = db.apply_batch(&batch).unwrap().effect;
-            log.record(batch, effect);
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.recorded(), 5);
-        assert!(log.is_truncated());
-        assert_eq!(
-            log.base_epoch(),
-            2,
-            "two limit-dropped batches moved the base"
-        );
-        assert_eq!(log.total_effect().inserted, 5);
-        let mut snapshot = Database::new();
-        snapshot.add(graph()).unwrap();
-        assert!(matches!(
-            log.replay(&mut snapshot),
-            Err(StorageError::TruncatedLog {
-                retained: 3,
-                recorded: 5
-            })
-        ));
     }
 }

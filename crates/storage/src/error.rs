@@ -35,23 +35,6 @@ pub enum StorageError {
     },
     /// A relation with the same name was registered twice.
     DuplicateRelation(String),
-    /// An update log dropped old batches to honour its retention limit and can no
-    /// longer be replayed in full.
-    TruncatedLog {
-        /// Batches still retained.
-        retained: usize,
-        /// Batches recorded over the log's lifetime.
-        recorded: usize,
-    },
-    /// A truncated update log was replayed onto a snapshot taken at a different
-    /// epoch than the log's base — the replay would skip or double-apply part
-    /// of the update stream.
-    LogEpochMismatch {
-        /// Epoch of the snapshot the caller offered.
-        snapshot: u64,
-        /// The log's base epoch (the snapshot epoch it requires).
-        base: u64,
-    },
     /// An I/O failure while reading or writing a serialized artifact.  Carries
     /// the rendered [`std::io::Error`] (this enum is `Clone + Eq`, the source
     /// error is neither).
@@ -59,7 +42,7 @@ pub enum StorageError {
     /// A serialized artifact failed structural validation: bad magic, a
     /// checksum mismatch, or truncated input.
     Corrupt {
-        /// Which artifact was being read (`"checkpoint"`, `"update log"`, …).
+        /// Which artifact was being read (`"checkpoint"` or `"write-ahead log"`).
         artifact: &'static str,
         /// What was wrong with it.
         detail: String,
@@ -107,14 +90,6 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateRelation(name) => {
                 write!(f, "relation `{name}` is already registered")
             }
-            StorageError::TruncatedLog { retained, recorded } => write!(
-                f,
-                "update log was truncated ({retained} of {recorded} batches retained); full replay is impossible"
-            ),
-            StorageError::LogEpochMismatch { snapshot, base } => write!(
-                f,
-                "update log replays from epoch {base}, but the snapshot was taken at epoch {snapshot}"
-            ),
             StorageError::Io(msg) => write!(f, "i/o error: {msg}"),
             StorageError::Corrupt { artifact, detail } => {
                 write!(f, "corrupt {artifact}: {detail}")

@@ -16,10 +16,10 @@
 //! * [`HashIndex`] — hash index on a subset of a relation's attributes,
 //! * [`annotated`] — relations annotated with commutative (semi)ring elements,
 //!   used for aggregation (§5.3) and bag semantics (§5.4),
-//! * [`delta`] — signed tuple deltas ([`DeltaBatch`]), set-semantics normalization
-//!   and the replayable [`UpdateLog`] consumed by `dcq-incremental`,
+//! * [`delta`] — signed tuple deltas ([`DeltaBatch`]) and set-semantics
+//!   normalization, consumed by `dcq-incremental`,
 //! * [`checkpoint`] — versioned, checksummed on-disk serialization of database
-//!   checkpoints, update logs and write-ahead-log frames,
+//!   checkpoints and write-ahead-log frames,
 //! * [`Database`] — a named collection of relations (one query instance),
 //! * [`shared`] — the epoch-versioned [`SharedDatabase`] of record that one engine
 //!   owns and many maintained views read through ([`RelationRef`]), with `O(|Δ|)`
@@ -55,7 +55,7 @@ pub mod value;
 pub use annotated::{AnnotatedRelation, BagRelation, Ring, Semiring};
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use database::Database;
-pub use delta::{normalize_delta, BatchEffect, DeltaBatch, DeltaEffect, UpdateLog};
+pub use delta::{normalize_delta, BatchEffect, DeltaBatch, DeltaEffect};
 pub use dict::{DictSnapshot, DictStats, ValueDict};
 pub use error::StorageError;
 pub use fanout::WorkerPool;

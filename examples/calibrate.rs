@@ -21,7 +21,7 @@ use dcqx::dcq_datagen::{
 };
 use dcqx::dcq_incremental::IncrementalStrategy;
 use dcqx::util::header;
-use dcqx::{CrossoverSample, DcqEngine, MaintenanceCostModel, UpdateLog};
+use dcqx::{CrossoverSample, DcqEngine, MaintenanceCostModel};
 use std::time::Instant;
 
 /// Swept effective batch sizes as fractions of the database.
@@ -64,7 +64,6 @@ fn main() {
         let inverse = batch.inverse();
         let arm = |strategy: IncrementalStrategy| -> f64 {
             let mut engine = DcqEngine::with_database(db.clone());
-            engine.set_log(UpdateLog::with_limit(4));
             engine
                 .register_with(dcq.clone(), strategy)
                 .expect("register");

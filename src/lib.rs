@@ -15,7 +15,7 @@
 //!   prepared DCQs, and multi-view update fan-out,
 //! * [`dcq_server`] — the concurrent view service: length-prefixed JSON over TCP,
 //!   one ingestion thread behind a bounded queue, durable WAL + checkpoints,
-//!   snapshot-served reads and a load harness,
+//!   and snapshot-served reads,
 //! * [`dcq_datagen`] — synthetic graph / benchmark / update workloads.
 //!
 //! The `examples/` directory demonstrates each subsystem; the `tests/` directory
@@ -39,9 +39,7 @@ pub use dcq_core::{
 pub use dcq_engine::{ApplyReport, DcqEngine, PreparedDcq, ViewHandle};
 pub use dcq_incremental::DcqView;
 pub use dcq_server::{DcqClient, DcqServer, DurabilityConfig, ServerConfig};
-pub use dcq_storage::{
-    Database, DeltaBatch, Relation, Row, Schema, SharedDatabase, UpdateLog, Value,
-};
+pub use dcq_storage::{Database, DeltaBatch, Relation, Row, Schema, SharedDatabase, Value};
 
 pub mod testkit;
 pub mod util;

@@ -31,7 +31,7 @@ use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{graph_query, update_workload, Graph, GraphQueryId, TripleRuleMix, UpdateSpec};
 use dcq_engine::{DcqEngine, ViewHandle};
 use dcq_storage::row::int_row;
-use dcq_storage::{Database, DeltaBatch, Relation, UpdateLog};
+use dcq_storage::{Database, DeltaBatch, Relation};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -341,7 +341,6 @@ fn adaptive_arm_tracks_the_best_arm_across_the_delta_sweep() {
         .enumerate()
         {
             let mut engine = DcqEngine::with_database(data.db.clone());
-            engine.set_log(UpdateLog::with_limit(4));
             engine
                 .register_with(dcq.clone(), strategy)
                 .expect("register");
@@ -375,7 +374,6 @@ fn adaptive_arm_tracks_the_best_arm_across_the_delta_sweep() {
     // stay within TOLERANCE of the better fixed arm.
     for (fraction, batch, inverse, rerun_ms, counting_ms) in &cells {
         let mut engine = DcqEngine::with_database(data.db.clone());
-        engine.set_log(UpdateLog::with_limit(4));
         engine.set_cost_model(MaintenanceCostModel {
             min_observations: 2,
             ..model

@@ -223,9 +223,9 @@ fn identical_shape_registration_hits_the_plan_cache() {
     }
 }
 
-/// Regression (epoch/log position): a batch touching only unreferenced relations
+/// Regression (epoch position): a batch touching only unreferenced relations
 /// advances every view's epoch, and a following relevant batch lands exactly —
-/// replaying the engine log over the registration snapshot reproduces the state.
+/// replaying both batches over the registration snapshot reproduces the state.
 #[test]
 fn skipped_batch_then_relevant_batch_replays_correctly() {
     let mut db = Database::new();
@@ -272,10 +272,11 @@ fn skipped_batch_then_relevant_batch_replays_correctly() {
         engine.result(handle).unwrap().sorted_rows(),
         expected.sorted_rows()
     );
-    // …and replaying the engine's log over the registration snapshot reproduces
-    // the database of record exactly (both batches, in order).
+    // …and replaying both batches, in order, over the registration snapshot
+    // reproduces the database of record exactly.
     let mut replayed = snapshot;
-    engine.log().replay(&mut replayed).unwrap();
+    replayed.apply_batch(&skipped).unwrap();
+    replayed.apply_batch(&relevant).unwrap();
     assert_eq!(
         replayed.get("Graph").unwrap().sorted_rows(),
         engine.database().get("Graph").unwrap().sorted_rows()

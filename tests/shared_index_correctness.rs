@@ -19,16 +19,20 @@
 //! The property test drives all of that with proptest-generated insert/delete
 //! batches on one engine hosting every query (counting forced), asserting after
 //! every batch that every view is byte-identical to the vanilla baseline over
-//! the engine's database of record; a deterministic companion churns
-//! registrations and checks the registry drains to zero.
+//! the engine's database of record, and equal to `dcqx::testkit::naive_dcq`,
+//! nested loops that share no operator with the plans the views maintain; a
+//! deterministic companion churns registrations and checks the registry
+//! drains to zero.
 
 use dcq_core::baseline::{baseline_dcq, CqStrategy};
 use dcq_core::parse::parse_dcq;
 use dcq_core::planner::IncrementalStrategy;
-use dcq_engine::DcqEngine;
+use dcq_engine::{DcqEngine, ViewHandle};
 use dcq_storage::row::int_row;
-use dcq_storage::{Database, DeltaBatch, Relation};
+use dcq_storage::{Database, DeltaBatch, Relation, Value};
+use dcqx::testkit::naive_dcq;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Self-join- and repeated-variable-heavy DCQs, all maintained by counting so
 /// the shared-index delta-join path is exercised regardless of classification.
@@ -79,6 +83,16 @@ fn ops_to_batch(ops: &[(u8, i64, i64)], all_inserts: bool) -> DeltaBatch {
     batch
 }
 
+/// A view's maintained result as value tuples, the shape `naive_dcq` returns.
+fn result_set(engine: &DcqEngine, handle: ViewHandle) -> BTreeSet<Vec<Value>> {
+    engine
+        .result(handle)
+        .unwrap()
+        .iter()
+        .map(|row| row.values().to_vec())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -115,6 +129,11 @@ proptest! {
                 expected.sorted_rows(),
                 "{} diverged at registration", label
             );
+            prop_assert_eq!(
+                result_set(&engine, *handle),
+                naive_dcq(view.dcq(), engine.database()),
+                "{} diverged from the naive reference at registration", label
+            );
         }
         for (step, ops) in batches.iter().enumerate() {
             let batch = ops_to_batch(ops, false);
@@ -127,6 +146,12 @@ proptest! {
                     engine.result(*handle).unwrap().sorted_rows(),
                     expected.sorted_rows(),
                     "{} diverged at batch {}",
+                    label, step
+                );
+                prop_assert_eq!(
+                    result_set(&engine, *handle),
+                    naive_dcq(view.dcq(), engine.database()),
+                    "{} diverged from the naive reference at batch {}",
                     label, step
                 );
             }
@@ -193,6 +218,10 @@ fn registry_refcounts_survive_registration_churn() {
             engine.result(handle).unwrap().sorted_rows(),
             expected.sorted_rows()
         );
+        assert_eq!(
+            result_set(&engine, handle),
+            naive_dcq(view.dcq(), engine.database())
+        );
     }
 
     engine.deregister(renamed).unwrap();
@@ -215,6 +244,10 @@ fn registry_refcounts_survive_registration_churn() {
     assert_eq!(
         engine.result(triangle).unwrap().sorted_rows(),
         expected.sorted_rows()
+    );
+    assert_eq!(
+        result_set(&engine, triangle),
+        naive_dcq(view.dcq(), engine.database())
     );
     engine.deregister(triangle).unwrap();
     assert_eq!(
