@@ -16,7 +16,6 @@
 
 use crate::baseline::{evaluate_cq, CqStrategy};
 use crate::error::DcqError;
-use crate::planner::IncrementalStrategy;
 use crate::query::Dcq;
 use crate::Result;
 use dcq_exec::{free_connex_evaluate, generic_join, reduce, ExecError};
@@ -253,364 +252,6 @@ pub fn intersection_heuristic(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive maintenance: per-view batch statistics and the rerun/counting
-// cost model
-// ---------------------------------------------------------------------------
-
-/// The clock a maintenance cost sample was taken on.
-///
-/// Under a sequential fan-out the two clocks agree, but once per-view
-/// maintenance runs on a worker pool, wall time charges a view for everything
-/// its core did while the view waited — other views sharing the worker, lock
-/// waits on pooled counting sides, scheduler preemption.  Feeding wall time
-/// into the EWMA would make each view's cost estimate a function of *how many
-/// other views exist*, not of its own work, and the adaptive crossover
-/// decisions would drift with engine load.  Per-thread CPU time
-/// ([`thread_cpu_time_ns`]) charges exactly the cycles the view's own
-/// maintenance burned, so the samples stay comparable across worker counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CostClock {
-    /// Wall-clock duration (the only clock available off-Linux): accurate when
-    /// maintenance runs alone on a thread, inflated under contention.
-    #[default]
-    Wall,
-    /// Per-thread CPU time: immune to preemption, lock waits and co-scheduled
-    /// work, hence the clock of record under parallel fan-out.
-    ThreadCpu,
-}
-
-/// Monotonic CPU time consumed by the **calling thread**, in nanoseconds, or
-/// `None` where the platform offers no such clock.
-///
-/// This is the sampling primitive behind [`CostClock::ThreadCpu`]: two calls
-/// bracketing a unit of work measure the cycles that work burned on this
-/// thread, regardless of how often the scheduler parked it or how many sibling
-/// workers were running.  On Linux this reads `CLOCK_THREAD_CPUTIME_ID` (a
-/// vDSO call, ~20 ns — cheap enough to sample per view per batch).
-pub fn thread_cpu_time_ns() -> Option<u64> {
-    // 64-bit Linux only: the hand-declared Timespec below matches glibc/musl's
-    // `struct timespec` exactly there (two 64-bit fields).  On 32-bit Linux
-    // `time_t`/`long` are 32-bit (pre-time64 ABIs), so the same declaration
-    // would read garbage — those targets take the wall-clock fallback instead
-    // of risking a silently wrong clock.
-    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-    {
-        #[repr(C)]
-        struct Timespec {
-            tv_sec: i64,
-            tv_nsec: i64,
-        }
-        extern "C" {
-            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
-        }
-        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
-        let mut ts = Timespec {
-            tv_sec: 0,
-            tv_nsec: 0,
-        };
-        // SAFETY: `ts` is a valid, exclusively borrowed out-pointer whose
-        // layout matches `struct timespec` on 64-bit Linux (enforced by the
-        // cfg above), and the thread-CPU clock id is always supported there.
-        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-        (rc == 0).then(|| ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64)
-    }
-    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-    {
-        None
-    }
-}
-
-/// Index of an *active* engine kind into [`BatchStats`]' per-kind arrays.
-///
-/// Only the two concrete maintenance engines have running costs;
-/// [`IncrementalStrategy::Adaptive`] is a policy over them, never an active
-/// kind.
-fn kind_slot(kind: IncrementalStrategy) -> usize {
-    match kind {
-        IncrementalStrategy::EasyRerun => 0,
-        IncrementalStrategy::Counting => 1,
-        IncrementalStrategy::Adaptive => {
-            unreachable!("Adaptive is a policy, not an active engine kind")
-        }
-    }
-}
-
-/// Per-view statistics of the update stream a maintained view observes, the
-/// input of [`MaintenanceCostModel::decide`].
-///
-/// Tracks an exponentially weighted moving average (EWMA) of the *effective*
-/// batch size relative to the store size — the quantity the rerun/counting
-/// crossover is expressed in — plus EWMA per-batch maintenance cost samples for
-/// both engine kinds, so a calibrator (or an operator reading
-/// `DcqEngine::batch_stats`) can see the measured cost of each arm the view has
-/// actually run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct BatchStats {
-    /// EWMA of `|Δ_effective| / N` over applied (non-skipped) batches.
-    pub ewma_delta_fraction: f64,
-    /// Applied (non-skipped) batches observed since registration.
-    pub observed: usize,
-    /// Applied batches since the last migration (the warm-up gate of
-    /// [`MaintenanceCostModel::min_observations`]); equal to `observed` until
-    /// the first migration.
-    pub since_migration: usize,
-    /// EWMA per-batch maintenance cost in nanoseconds, indexed
-    /// `[EasyRerun, Counting]`; `0.0` until the first sample of that kind.
-    ///
-    /// Attribution caveat for pool-shared counting sides: the first sharing
-    /// view to fold a batch pays for the whole fold, later sharers get the
-    /// memoized per-epoch delta — so across views sharing a side, one EWMA
-    /// over-reads and the others under-read.  Per-view delta-fraction
-    /// tracking (what migration decisions use) is unaffected.
-    pub ewma_cost_ns: [f64; 2],
-    /// Cost samples folded per engine kind, indexed `[EasyRerun, Counting]`.
-    pub cost_samples: [usize; 2],
-    /// The clock the cost samples were taken on.  Engines sample
-    /// [`CostClock::ThreadCpu`] wherever the platform offers it, so the EWMAs
-    /// stay comparable across sequential and parallel fan-out; mixing clocks
-    /// within one view is flagged by the last writer winning here.
-    pub cost_clock: CostClock,
-}
-
-impl BatchStats {
-    /// EWMA smoothing factor: the last ~8 batches dominate, so a workload shift
-    /// is picked up quickly without flapping on one outlier batch.
-    pub const ALPHA: f64 = 0.25;
-
-    /// Fold one applied batch's effective delta fraction into the EWMA.
-    pub fn observe(&mut self, delta_fraction: f64) {
-        let f = delta_fraction.clamp(0.0, 1.0);
-        if self.observed == 0 {
-            self.ewma_delta_fraction = f;
-        } else {
-            self.ewma_delta_fraction += Self::ALPHA * (f - self.ewma_delta_fraction);
-        }
-        self.observed += 1;
-        self.since_migration += 1;
-    }
-
-    /// Record that the view migrated: the warm-up gate re-arms, so the next
-    /// migration again requires
-    /// [`min_observations`](MaintenanceCostModel::min_observations) fresh
-    /// batches (the EWMAs persist across migrations).
-    pub fn note_migration(&mut self) {
-        self.since_migration = 0;
-    }
-
-    /// Fold one per-batch maintenance cost sample for the engine kind that was
-    /// active while the batch was applied, noting which clock produced it
-    /// (per-thread CPU time under parallel fan-out, wall time as the
-    /// fallback — see [`CostClock`] for why the distinction matters).
-    pub fn observe_cost(&mut self, active: IncrementalStrategy, nanos: f64, clock: CostClock) {
-        self.cost_clock = clock;
-        let slot = kind_slot(active);
-        if self.cost_samples[slot] == 0 {
-            self.ewma_cost_ns[slot] = nanos;
-        } else {
-            self.ewma_cost_ns[slot] += Self::ALPHA * (nanos - self.ewma_cost_ns[slot]);
-        }
-        self.cost_samples[slot] += 1;
-    }
-
-    /// The EWMA per-batch cost of `kind`, `None` until a sample exists.
-    pub fn cost_estimate(&self, kind: IncrementalStrategy) -> Option<f64> {
-        let slot = kind_slot(kind);
-        (self.cost_samples[slot] > 0).then(|| self.ewma_cost_ns[slot])
-    }
-}
-
-/// One point of a rerun-vs-counting calibration sweep: the measured per-batch
-/// cost of both maintenance arms at one delta fraction (arbitrary but
-/// consistent cost units — wall-clock nanoseconds in practice).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CrossoverSample {
-    /// Effective batch size relative to the store size (`|Δ| / N`).
-    pub delta_fraction: f64,
-    /// Per-batch cost of touched-side rerun maintenance at this delta size.
-    pub rerun_cost: f64,
-    /// Per-batch cost of counting maintenance at this delta size.
-    pub counting_cost: f64,
-}
-
-/// The calibratable cost model behind [`IncrementalStrategy::Adaptive`]:
-/// *where* does counting maintenance (cost ∝ `|Δ|`) stop beating touched-side
-/// rerun (cost ∝ `N + OUT`, flat in `|Δ|`)?
-///
-/// The paper's dichotomy answers structurally; this model answers dynamically,
-/// in the spirit of the update-driven cost trade-offs of Berkholz et al.: below
-/// [`crossover_fraction`](MaintenanceCostModel::crossover_fraction) trickle
-/// deltas favor counting, above it bulk deltas favor a rerun.  The default
-/// crossover is conservative; `cargo run --release --example calibrate`
-/// measures the host's actual crossover and prints a fitted model to plug into
-/// `DcqEngine::set_cost_model`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MaintenanceCostModel {
-    /// Delta fraction (`|Δ| / N`) above which a touched-side rerun is predicted
-    /// to beat counting maintenance.
-    pub crossover_fraction: f64,
-    /// Relative hysteresis band around the crossover: migration to rerun
-    /// requires the EWMA fraction to exceed `crossover · (1 + hysteresis)`,
-    /// migration back requires it to drop below `crossover · (1 − hysteresis)`,
-    /// so a workload sitting exactly on the crossover never flaps.
-    pub hysteresis: f64,
-    /// Applied batches a view must observe before its first migration (and
-    /// after every migration), so one unusual batch cannot trigger a flip.
-    pub min_observations: usize,
-    /// The delta fraction an adaptive view is assumed to see **before** its
-    /// first batch: its initial engine kind is
-    /// [`preferred`](MaintenanceCostModel::preferred)`(initial_delta_fraction)`.
-    /// Incremental-maintenance services overwhelmingly serve trickle updates,
-    /// so the default prior (1%) starts adaptive views on counting; a view
-    /// whose observed stream disagrees migrates once the EWMA crosses the
-    /// band.  Starting on the likely-right kind matters beyond the first few
-    /// batches: long-lived maintenance state built *mid-stream* (after another
-    /// engine's evaluations churned the allocator) probes measurably slower
-    /// than state built at registration, so avoidable early migrations are
-    /// worth avoiding.
-    pub initial_delta_fraction: f64,
-}
-
-impl Default for MaintenanceCostModel {
-    /// The conservative host-independent default: crossover at 30% delta, ±25%
-    /// hysteresis, 3 observed batches before any flip, and a 1% trickle-update
-    /// prior for the initial engine kind.
-    ///
-    /// Hosts measured so far fit *higher* crossovers still (~60% for the hard
-    /// `Q_G5` shape on the flat interned layout with id-space head deltas —
-    /// counting still beat rerun ~3× at a 30% delta fraction in the last
-    /// calibration sweep); the shipped default stays below the fits so an
-    /// **uncalibrated** engine only leaves counting under clearly bulk
-    /// workloads, where rerun's flat cost is safe on any host.  The pre-flat
-    /// default was much lower (8%, then 15%) for two reasons the flat layout
-    /// removed: boxed-row probes made counting itself slower (the fitted
-    /// crossover was ~24% before the fold and the view combine went id-space
-    /// end to end), and migrating *into* counting mid-stream carried a 30–40%
-    /// probe penalty (boxed rows scattered by allocator churn) that flat id
-    /// buckets erased (re-measured at ±a few percent, i.e. noise), so a wrong
-    /// early rerun choice is now cheap to undo.  Run `cargo run --release
-    /// --example calibrate` for a tight host-fitted crossover.
-    fn default() -> Self {
-        MaintenanceCostModel {
-            crossover_fraction: 0.30,
-            hysteresis: 0.25,
-            min_observations: 3,
-            initial_delta_fraction: 0.01,
-        }
-    }
-}
-
-impl MaintenanceCostModel {
-    /// A model with an explicitly calibrated crossover and default
-    /// hysteresis/warm-up.
-    pub fn with_crossover(crossover_fraction: f64) -> Self {
-        MaintenanceCostModel {
-            crossover_fraction: crossover_fraction.max(f64::MIN_POSITIVE),
-            ..MaintenanceCostModel::default()
-        }
-    }
-
-    /// The engine kind this model predicts to be cheaper at a given delta
-    /// fraction, hysteresis aside.
-    pub fn preferred(&self, delta_fraction: f64) -> IncrementalStrategy {
-        if delta_fraction > self.crossover_fraction {
-            IncrementalStrategy::EasyRerun
-        } else {
-            IncrementalStrategy::Counting
-        }
-    }
-
-    /// The engine kind an adaptive view starts on: the preferred kind at the
-    /// model's workload prior
-    /// ([`initial_delta_fraction`](MaintenanceCostModel::initial_delta_fraction)).
-    pub fn initial_kind(&self) -> IncrementalStrategy {
-        self.preferred(self.initial_delta_fraction)
-    }
-
-    /// The migration decision for a view currently running `active`: `Some`
-    /// target kind when the observed EWMA delta fraction has crossed the
-    /// hysteresis band and enough batches have been seen, `None` to stay put.
-    pub fn decide(
-        &self,
-        active: IncrementalStrategy,
-        stats: &BatchStats,
-    ) -> Option<IncrementalStrategy> {
-        if stats.since_migration < self.min_observations {
-            return None;
-        }
-        let f = stats.ewma_delta_fraction;
-        match active {
-            IncrementalStrategy::Counting
-                if f > self.crossover_fraction * (1.0 + self.hysteresis) =>
-            {
-                Some(IncrementalStrategy::EasyRerun)
-            }
-            IncrementalStrategy::EasyRerun
-                if f < self.crossover_fraction * (1.0 - self.hysteresis) =>
-            {
-                Some(IncrementalStrategy::Counting)
-            }
-            _ => None,
-        }
-    }
-
-    /// Fit the crossover from a measured sweep (the `calibrate` example's job):
-    /// find the adjacent pair of samples where the cheaper arm flips from
-    /// counting to rerun and log-interpolate the crossing point of the cost
-    /// ratio between them.
-    ///
-    /// Degenerate sweeps still calibrate: if counting wins everywhere the
-    /// crossover is placed just above the largest swept fraction, if rerun wins
-    /// everywhere just below the smallest, so the resulting policy is "always
-    /// counting" / "always rerun" over the measured range.  Returns `None` only
-    /// for an empty or non-positive sweep.
-    pub fn from_crossover_samples(samples: &[CrossoverSample]) -> Option<Self> {
-        let mut sweep: Vec<CrossoverSample> = samples
-            .iter()
-            .copied()
-            .filter(|s| {
-                s.delta_fraction > 0.0
-                    && s.rerun_cost.is_finite()
-                    && s.counting_cost.is_finite()
-                    && s.rerun_cost > 0.0
-                    && s.counting_cost > 0.0
-            })
-            .collect();
-        if sweep.is_empty() {
-            return None;
-        }
-        sweep.sort_by(|a, b| a.delta_fraction.total_cmp(&b.delta_fraction));
-        // log(counting / rerun): negative where counting wins, positive where
-        // rerun wins; the crossover is its zero crossing.
-        let ratio = |s: &CrossoverSample| (s.counting_cost / s.rerun_cost).ln();
-        let crossing = sweep.windows(2).find(|w| {
-            let (lo, hi) = (ratio(&w[0]), ratio(&w[1]));
-            lo <= 0.0 && hi > 0.0
-        });
-        let crossover = match crossing {
-            Some(w) => {
-                let (lo, hi) = (ratio(&w[0]), ratio(&w[1]));
-                let t = if (hi - lo).abs() < f64::EPSILON {
-                    0.5
-                } else {
-                    -lo / (hi - lo)
-                };
-                let (f_lo, f_hi) = (w[0].delta_fraction.ln(), w[1].delta_fraction.ln());
-                (f_lo + t * (f_hi - f_lo)).exp()
-            }
-            None if ratio(&sweep[0]) > 0.0 => {
-                // Rerun already wins at the smallest swept fraction.
-                sweep[0].delta_fraction * 0.5
-            }
-            None => {
-                // Counting still wins at the largest swept fraction.
-                sweep[sweep.len() - 1].delta_fraction * 2.0
-            }
-        };
-        Some(MaintenanceCostModel::with_crossover(crossover))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,177 +362,6 @@ mod tests {
         check_both_heuristics(
             "Q(a, c) :- Graph(a, b), Graph(b, c), Node(c) EXCEPT Graph(a, d), Graph(d, c)",
         );
-    }
-
-    #[test]
-    fn batch_stats_track_ewma_and_per_kind_costs() {
-        let mut stats = BatchStats::default();
-        assert_eq!(stats.cost_estimate(IncrementalStrategy::Counting), None);
-        stats.observe(0.2);
-        assert_eq!(
-            stats.ewma_delta_fraction, 0.2,
-            "first sample seeds the EWMA"
-        );
-        stats.observe(0.0);
-        assert!(stats.ewma_delta_fraction < 0.2 && stats.ewma_delta_fraction > 0.0);
-        assert_eq!(stats.observed, 2);
-        stats.observe(5.0); // clamped
-        assert!(stats.ewma_delta_fraction <= 1.0);
-
-        assert_eq!(stats.cost_clock, CostClock::Wall, "default clock");
-        stats.observe_cost(IncrementalStrategy::Counting, 1000.0, CostClock::ThreadCpu);
-        stats.observe_cost(IncrementalStrategy::Counting, 2000.0, CostClock::ThreadCpu);
-        stats.observe_cost(IncrementalStrategy::EasyRerun, 500.0, CostClock::ThreadCpu);
-        let counting = stats.cost_estimate(IncrementalStrategy::Counting).unwrap();
-        assert!(counting > 1000.0 && counting < 2000.0);
-        assert_eq!(
-            stats.cost_estimate(IncrementalStrategy::EasyRerun),
-            Some(500.0)
-        );
-        assert_eq!(stats.cost_samples, [1, 2]);
-        assert_eq!(stats.cost_clock, CostClock::ThreadCpu);
-    }
-
-    /// The regression gate behind the parallel fan-out's cost sampling: time a
-    /// view's maintenance spends *blocked* (on a pooled side's lock, on the
-    /// scheduler, here simulated by a sleep) must not be charged as cost, or
-    /// the adaptive EWMAs would scale with engine load instead of view work.
-    #[test]
-    fn thread_cpu_time_excludes_blocked_time() {
-        let Some(cpu_start) = thread_cpu_time_ns() else {
-            // Platform without a thread CPU clock: engines fall back to wall
-            // time (CostClock::Wall) and nothing is asserted here.
-            return;
-        };
-        let wall_start = std::time::Instant::now();
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        // Burn a little actual CPU so the clock provably advances.
-        let mut acc = 0u64;
-        for i in 0..200_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        assert_ne!(acc, 1, "keep the busy loop observable");
-        let cpu_ns = thread_cpu_time_ns().unwrap().saturating_sub(cpu_start);
-        let wall_ns = wall_start.elapsed().as_nanos() as u64;
-        assert!(wall_ns >= 60_000_000, "the sleep really blocked");
-        assert!(cpu_ns > 0, "the busy loop really burned CPU");
-        assert!(
-            cpu_ns < wall_ns / 2,
-            "blocked time leaked into the CPU clock: cpu {cpu_ns} ns vs wall {wall_ns} ns"
-        );
-    }
-
-    #[test]
-    fn cost_model_decisions_respect_hysteresis_and_warmup() {
-        let model = MaintenanceCostModel::default();
-        assert_eq!(
-            model.preferred(0.01),
-            IncrementalStrategy::Counting,
-            "trickle deltas prefer counting"
-        );
-        assert_eq!(
-            model.preferred(0.45),
-            IncrementalStrategy::EasyRerun,
-            "bulk deltas prefer rerun"
-        );
-        assert_eq!(
-            model.initial_kind(),
-            IncrementalStrategy::Counting,
-            "the default trickle prior starts adaptive views on counting"
-        );
-        assert_eq!(
-            MaintenanceCostModel {
-                initial_delta_fraction: 0.5,
-                ..model
-            }
-            .initial_kind(),
-            IncrementalStrategy::EasyRerun
-        );
-
-        // Too few observations: no migration regardless of the fraction.
-        let mut stats = BatchStats::default();
-        stats.observe(0.5);
-        assert_eq!(model.decide(IncrementalStrategy::Counting, &stats), None);
-        stats.observe(0.5);
-        stats.observe(0.5);
-        assert_eq!(
-            model.decide(IncrementalStrategy::Counting, &stats),
-            Some(IncrementalStrategy::EasyRerun)
-        );
-        // Already on the preferred side: stay put.
-        assert_eq!(model.decide(IncrementalStrategy::EasyRerun, &stats), None);
-        // A migration re-arms the warm-up gate.
-        stats.note_migration();
-        assert_eq!(model.decide(IncrementalStrategy::Counting, &stats), None);
-        for _ in 0..model.min_observations {
-            stats.observe(0.5);
-        }
-        assert_eq!(
-            model.decide(IncrementalStrategy::Counting, &stats),
-            Some(IncrementalStrategy::EasyRerun)
-        );
-
-        // Inside the hysteresis band nothing migrates in either direction.
-        let mut band = BatchStats::default();
-        for _ in 0..8 {
-            band.observe(model.crossover_fraction);
-        }
-        assert_eq!(model.decide(IncrementalStrategy::Counting, &band), None);
-        assert_eq!(model.decide(IncrementalStrategy::EasyRerun, &band), None);
-
-        // Well below the band: a rerun view migrates back to counting.
-        let mut tiny = BatchStats::default();
-        for _ in 0..8 {
-            tiny.observe(0.001);
-        }
-        assert_eq!(
-            model.decide(IncrementalStrategy::EasyRerun, &tiny),
-            Some(IncrementalStrategy::Counting)
-        );
-    }
-
-    #[test]
-    fn crossover_fits_from_sweep_samples() {
-        // Counting cost grows linearly with the delta, rerun is flat: the
-        // synthetic crossover sits at 0.1.
-        let sweep: Vec<CrossoverSample> = [0.001, 0.01, 0.05, 0.2, 0.4]
-            .iter()
-            .map(|&f| CrossoverSample {
-                delta_fraction: f,
-                rerun_cost: 100.0,
-                counting_cost: 1000.0 * f,
-            })
-            .collect();
-        let model = MaintenanceCostModel::from_crossover_samples(&sweep).unwrap();
-        assert!(
-            (model.crossover_fraction - 0.1).abs() < 0.02,
-            "fitted crossover {} should sit near the synthetic 0.1",
-            model.crossover_fraction
-        );
-
-        // Counting wins everywhere → crossover above the sweep.
-        let counting_always: Vec<CrossoverSample> = sweep
-            .iter()
-            .map(|s| CrossoverSample {
-                counting_cost: s.rerun_cost * 0.1,
-                ..*s
-            })
-            .collect();
-        let model = MaintenanceCostModel::from_crossover_samples(&counting_always).unwrap();
-        assert!(model.crossover_fraction > 0.4);
-
-        // Rerun wins everywhere → crossover below the sweep.
-        let rerun_always: Vec<CrossoverSample> = sweep
-            .iter()
-            .map(|s| CrossoverSample {
-                counting_cost: s.rerun_cost * 10.0,
-                ..*s
-            })
-            .collect();
-        let model = MaintenanceCostModel::from_crossover_samples(&rerun_always).unwrap();
-        assert!(model.crossover_fraction < 0.001);
-
-        assert_eq!(MaintenanceCostModel::from_crossover_samples(&[]), None);
     }
 
     #[test]

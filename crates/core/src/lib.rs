@@ -51,11 +51,10 @@ pub use delta_plan::{
     build_delta_plans, AtomBinding, CqDeltaPlans, DeltaStep, IndexSpec, OccurrencePlan,
 };
 pub use error::DcqError;
-pub use heuristics::{
-    thread_cpu_time_ns, BatchStats, CostClock, CrossoverSample, MaintenanceCostModel,
-};
 pub use parse::{parse_cq, parse_dcq};
-pub use planner::{DcqPlanner, IncrementalPlan, IncrementalStrategy, Strategy};
+pub use planner::{
+    DcqPlanner, IncrementalPlan, IncrementalStrategy, MaintenanceCostModel, Strategy,
+};
 pub use query::{Atom, ConjunctiveQuery, Dcq};
 
 /// Crate-level result alias.

@@ -133,52 +133,41 @@ impl DcqPlanner {
     }
 }
 
-/// How a registered DCQ should be maintained under updates (the `dcq-incremental`
-/// crate executes these strategies).
+/// How a registered DCQ is maintained under updates (the `dcq-incremental`
+/// crate executes the plan).
 ///
-/// The planner prescribes [`Counting`](IncrementalStrategy::Counting) for every
-/// class of the dichotomy: per-batch cost then scales with the delta, not with the
-/// store.  A touched-side rerun is `O(N + OUT)` *per batch* even when the DCQ is
-/// difference-linear, which only beats counting once a batch rewrites a large share
-/// of the store (the recorded crossover is around `0.6·N`); it stays available for
-/// callers that name it and as the adaptive policy's migration target.
+/// Every class of the dichotomy is maintained by counting, the scheme of
+/// Berkholz, Keppeler & Schweikardt applied to each CQ side: per-batch cost
+/// follows `|Δ|`, not the store size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IncrementalStrategy {
-    /// Re-run the per-side plans, restricted to the sides (partitions of the atom
-    /// set) the delta batch touches; untouched batches are no-ops.  Never chosen
-    /// by the planner: reachable by naming it at registration, or through the
-    /// adaptive policy's migration.
-    EasyRerun,
-    /// Counting-based maintenance, the planner's choice for every class: maintain
-    /// `|Q₁(t)|` and `|Q₂(t)|` support counts per output tuple via ℤ-annotated
-    /// delta joins; a tuple enters the result when its `Q₁` count rises above zero
-    /// while its `Q₂` count is zero.
+    /// Counting-based maintenance: maintain `|Q₁(t)|` and `|Q₂(t)|` support
+    /// counts per output tuple via ℤ-annotated delta joins; a tuple is in the
+    /// result while its `Q₁` count is positive and its `Q₂` count is zero.
     Counting,
-    /// Pick per *workload*: start on the cost model's workload-prior kind (the
-    /// planner's choice, counting, absent a model), track observed batch sizes
-    /// ([`BatchStats`](crate::heuristics::BatchStats)), and migrate the live view
-    /// between [`EasyRerun`](IncrementalStrategy::EasyRerun) and
-    /// [`Counting`](IncrementalStrategy::Counting) when the measured delta
-    /// fraction crosses the cost model's rerun/counting crossover
-    /// ([`MaintenanceCostModel`](crate::heuristics::MaintenanceCostModel)).  The
-    /// active engine at any instant is always one of the two concrete kinds.
+    /// Maintained by counting.  Kept only because `benchmark/src/sut.rs` names
+    /// it; it goes when the benchmark stops naming it.
     Adaptive,
 }
 
 impl fmt::Display for IncrementalStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            IncrementalStrategy::EasyRerun => {
-                "touched-side rerun (O(N + OUT) per batch; only when named by the caller)"
-            }
-            IncrementalStrategy::Counting => {
-                "counting maintenance (support counts updated by delta joins, cost follows |Δ|)"
-            }
-            IncrementalStrategy::Adaptive => {
-                "adaptive maintenance (rerun ↔ counting, migrated on observed delta size)"
-            }
-        };
-        write!(f, "{s}")
+        f.write_str(
+            "counting maintenance (support counts updated by delta joins, cost follows |Δ|)",
+        )
+    }
+}
+
+/// A field-less stand-in for the retired maintenance cost model.  Kept only
+/// because `benchmark/src/sut.rs` names it; it goes when the benchmark stops
+/// naming it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MaintenanceCostModel;
+
+impl MaintenanceCostModel {
+    /// Always [`IncrementalStrategy::Counting`], the only maintenance engine.
+    pub fn initial_kind(&self) -> IncrementalStrategy {
+        IncrementalStrategy::Counting
     }
 }
 
@@ -195,16 +184,9 @@ pub struct IncrementalPlan {
 impl IncrementalPlan {
     /// Render a short multi-line explanation of the maintenance choice.
     pub fn explain(&self) -> String {
-        let why = match self.strategy {
-            IncrementalStrategy::Counting => {
-                "why: counting for every class — a rerun pays O(N + OUT) per batch and only \
-                 wins once a batch rewrites ~0.6·N of the store (recorded crossover), which \
-                 no shipped workload reaches\n"
-            }
-            IncrementalStrategy::EasyRerun | IncrementalStrategy::Adaptive => "",
-        };
         format!(
-            "maintenance: {}\n{why}{}",
+            "maintenance: {}\nwhy: counting for every class — per-batch cost follows |Δ|, \
+             not the store size\n{}",
             self.strategy, self.classification
         )
     }
@@ -220,9 +202,8 @@ impl DcqPlanner {
     }
 
     /// Choose how a registered DCQ should be maintained under updates:
-    /// [`IncrementalStrategy::Counting`] for difference-linear and hard DCQs alike
-    /// (see [`IncrementalStrategy`] for why a rerun is not the default even where
-    /// it is linear).
+    /// [`IncrementalStrategy::Counting`] for difference-linear and hard DCQs
+    /// alike.
     ///
     /// This classifies from scratch on every call; engines that prepare the same
     /// query shape repeatedly should go through a
@@ -232,18 +213,6 @@ impl DcqPlanner {
         let strategy = Self::incremental_strategy_for(&classification);
         IncrementalPlan {
             strategy,
-            classification,
-        }
-    }
-
-    /// An [`IncrementalStrategy::Adaptive`] maintenance plan: the view starts on
-    /// the engine's cost-model prior kind (falling back to the planner's choice,
-    /// [`DcqPlanner::incremental_strategy_for`], i.e. counting) and is migrated
-    /// online as the observed batch sizes cross the engine's cost-model crossover.
-    pub fn plan_adaptive(&self, dcq: &Dcq) -> IncrementalPlan {
-        let classification = classify(dcq);
-        IncrementalPlan {
-            strategy: IncrementalStrategy::Adaptive,
             classification,
         }
     }
@@ -360,7 +329,7 @@ mod tests {
         let plan = planner.plan_incremental(&easy);
         assert_eq!(plan.strategy, IncrementalStrategy::Counting);
         assert!(plan.explain().contains("counting maintenance"));
-        assert!(plan.explain().contains("crossover"), "explain says why");
+        assert!(plan.explain().contains("why:"), "explain says why");
         assert!(plan.classification.is_difference_linear());
 
         let hard = parse_dcq("Q(a, c) :- Edge(a, c) EXCEPT Graph(a, b), Graph(b, c)").unwrap();
@@ -375,34 +344,6 @@ mod tests {
         assert!(format!("{}", Strategy::EasyLinear).contains("Theorem 3.1"));
         assert!(format!("{}", Strategy::Baseline).contains("Corollary 2.1"));
         assert!(format!("{}", Strategy::Intersection).contains("4.10"));
-        assert!(format!("{}", IncrementalStrategy::Adaptive).contains("adaptive"));
-    }
-
-    #[test]
-    fn adaptive_plan_keeps_the_structural_choice_recoverable() {
-        let planner = DcqPlanner::smart();
-        for (src, difference_linear) in [
-            (
-                "Q(a, b, c) :- Triple(a, b, c) EXCEPT Graph(a, b), Graph(b, c), Graph(c, a)",
-                true,
-            ),
-            (
-                "Q(a, c) :- Edge(a, c) EXCEPT Graph(a, b), Graph(b, c)",
-                false,
-            ),
-        ] {
-            let plan = planner.plan_adaptive(&parse_dcq(src).unwrap());
-            assert_eq!(plan.strategy, IncrementalStrategy::Adaptive);
-            assert_eq!(
-                plan.classification.is_difference_linear(),
-                difference_linear
-            );
-            assert_eq!(
-                DcqPlanner::incremental_strategy_for(&plan.classification),
-                IncrementalStrategy::Counting,
-                "the adaptive view's starting engine is the planner's choice"
-            );
-            assert!(plan.explain().contains("adaptive"));
-        }
+        assert!(format!("{}", IncrementalStrategy::Counting).contains("|Δ|"));
     }
 }

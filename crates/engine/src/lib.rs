@@ -11,9 +11,9 @@
 //! This is the production shape Berkholz, Keppeler & Schweikardt's *Answering
 //! Conjunctive Queries under Updates* frames — a dynamic database serving many
 //! standing queries — applied to the DCQs of Hu & Wang: each view is
-//! maintained by counting delta joins (the planner's choice for every class)
-//! or, where a caller names it, touched-side rerun, but the store, the batch
-//! normalization and the epoch counter exist **once**, not once per view:
+//! maintained by counting delta joins, so its per-batch cost follows `|Δ|`,
+//! and the store, the batch normalization and the epoch counter exist
+//! **once**, not once per view:
 //!
 //! ```text
 //!                      ┌────────────────────────────────────────┐
@@ -26,7 +26,7 @@
 //!                      │   │  once per batch)                   │
 //!                      │   │ normalized AppliedBatch            │
 //!   apply(batch) ───►  │   ├──► DcqView #0 (counting: probes ↑) │
-//!                      │   ├──► DcqView #1 (rerun)              │
+//!                      │   ├──► DcqView #1 (counting: probes ↑) │
 //!                      │   └──► DcqView #2 (counting: probes ↑) │
 //!                      └────────────────────────────────────────┘
 //! ```
@@ -38,19 +38,6 @@
 //! each delta-join index once per *distinct probe signature*, not once per
 //! view: distinct-but-overlapping DCQs (shared atom prefixes, α-renamed sides)
 //! probe the same refcounted registry entries.
-//!
-//! ## Adaptive maintenance
-//!
-//! The planner maintains every view by counting; a workload of very large
-//! batches can disagree (counting cost scales with `|Δ|`, a rerun is flat in
-//! it).  Views registered through [`DcqEngine::register_adaptive`] are managed
-//! by a policy instead: the engine tracks every batch's effective size
-//! relative to the store ([`BatchStats`]) and, when the EWMA delta fraction
-//! crosses the [`MaintenanceCostModel`] crossover (hysteresis applied),
-//! migrates the live view to the cheaper engine kind — rebuilt from the shared
-//! store at the current epoch, old pooled sides and registry indexes released.
-//! Migration is result-invariant; `cargo run --release --example calibrate`
-//! fits the crossover to the host.
 //!
 //! ## Parallel fan-out
 //!
@@ -70,14 +57,8 @@
 //! their lock first — the fold is a pure function of `(state, batch)`, so
 //! results, stats and counters are **bit-identical** to the sequential path
 //! (pinned by `tests/parallel_determinism.rs`).  A short sequential tail then
-//! folds per-view outcomes into the report, feeds the adaptive policy —
-//! per-view **CPU time**, not wall time, so lock waits and co-scheduled views
-//! cannot inflate a view's cost samples — and executes any policy migrations.
-//! (One attribution caveat survives from the sequential design, documented on
-//! [`BatchStats::ewma_cost_ns`]: for *pool-shared* counting sides, whichever
-//! sharing view folds a batch first pays the whole fold's CPU, and under
-//! parallel fan-out which view that is depends on scheduling.  Migration
-//! *decisions* read only the delta-fraction EWMA and stay deterministic.)
+//! folds per-view outcomes into the report in slot order and writes any
+//! scheduled checkpoint.
 //!
 //! Everything in the engine core is `Send`, and the store is `Sync`: the
 //! ownership refactor that enabled this (Rc→Arc, RefCell→RwLock, copy-on-write
@@ -89,7 +70,6 @@
 mod fanout;
 
 use dcq_core::cache::{PlanCache, PlanCacheStats, QueryShapeKey};
-use dcq_core::heuristics::{thread_cpu_time_ns, BatchStats, CostClock, MaintenanceCostModel};
 use dcq_core::planner::{IncrementalPlan, IncrementalStrategy};
 use dcq_core::{Dcq, DcqError};
 use dcq_incremental::pool::{CountingPool, CountingPoolStats};
@@ -108,74 +88,8 @@ use dcq_telemetry::{
 use fanout::WorkerPool;
 use std::fmt;
 use std::sync::Arc;
+#[cfg(feature = "telemetry")]
 use std::time::Instant;
-
-/// One cost-sample measurement around a view's per-batch maintenance, on the
-/// engine's **pinned** [`CostClock`] (see [`DcqEngine::cost_clock`]).
-///
-/// The clock is chosen once at engine construction — the per-thread CPU clock
-/// where the platform has one (immune to lock waits, preemption and
-/// co-scheduled views), wall time elsewhere — so every sample an engine ever
-/// feeds the adaptive policy carries the same provenance.  The previous design
-/// re-probed clock availability per sample and could hand
-/// [`BatchStats::observe_cost`] a mix of wall and CPU nanoseconds within one
-/// engine; clock availability is a static platform property, so pinning is
-/// both correct and cheaper.
-enum CostSample {
-    Cpu(u64),
-    Wall(Instant),
-}
-
-impl CostSample {
-    fn start(clock: CostClock) -> Self {
-        match clock {
-            CostClock::ThreadCpu => CostSample::Cpu(
-                thread_cpu_time_ns().expect("ThreadCpu is pinned only where the platform has it"),
-            ),
-            CostClock::Wall => CostSample::Wall(Instant::now()),
-        }
-    }
-
-    /// The elapsed cost in nanoseconds.  Must be called on the same thread as
-    /// [`CostSample::start`].
-    fn finish(self) -> f64 {
-        match self {
-            CostSample::Cpu(start) => thread_cpu_time_ns()
-                .expect("thread clock availability is constant within a process")
-                .saturating_sub(start) as f64,
-            CostSample::Wall(start) => start.elapsed().as_nanos() as f64,
-        }
-    }
-}
-
-/// The [`CostClock`] available on this platform: thread-CPU where the platform
-/// offers it, wall time elsewhere.  Engines pin this at construction.
-fn pinned_cost_clock() -> CostClock {
-    if thread_cpu_time_ns().is_some() {
-        CostClock::ThreadCpu
-    } else {
-        CostClock::Wall
-    }
-}
-
-/// Static label of a concrete engine kind for trace records.
-#[cfg(feature = "telemetry")]
-fn strategy_label(strategy: IncrementalStrategy) -> &'static str {
-    match strategy {
-        IncrementalStrategy::EasyRerun => "EasyRerun",
-        IncrementalStrategy::Counting => "Counting",
-        IncrementalStrategy::Adaptive => "Adaptive",
-    }
-}
-
-/// Static label of a [`CostClock`] for trace records.
-#[cfg(feature = "telemetry")]
-fn clock_label(clock: CostClock) -> &'static str {
-    match clock {
-        CostClock::ThreadCpu => "thread_cpu",
-        CostClock::Wall => "wall",
-    }
-}
 
 /// Errors surfaced by the engine facade.
 #[derive(Debug)]
@@ -341,10 +255,11 @@ pub struct EngineStats {
     pub index_count: usize,
     /// Estimated heap footprint of those indexes in bytes (point in time).
     pub index_bytes: usize,
-    /// Live view migrations onto touched-side rerun (adaptive policy or
-    /// [`DcqEngine::migrate`]).
+    /// Always 0.  Kept only because `benchmark/src/sut.rs` names it; it goes
+    /// when the benchmark stops naming it.
     pub migrations_to_rerun: usize,
-    /// Live view migrations onto counting maintenance.
+    /// Always 0.  Kept only because `benchmark/src/sut.rs` names it; it goes
+    /// when the benchmark stops naming it.
     pub migrations_to_counting: usize,
     /// Scheduled checkpoints written through the [`CheckpointSink`].
     pub compactions: usize,
@@ -364,8 +279,6 @@ mod metric {
     pub const BATCHES: &str = "dcq_engine_batches_total";
     pub const VIEWS_REGISTERED: &str = "dcq_engine_views_registered_total";
     pub const VIEWS_DEREGISTERED: &str = "dcq_engine_views_deregistered_total";
-    pub const MIGRATIONS_TO_RERUN: &str = "dcq_engine_migrations_to_rerun_total";
-    pub const MIGRATIONS_TO_COUNTING: &str = "dcq_engine_migrations_to_counting_total";
     pub const COMPACTIONS: &str = "dcq_engine_compactions_total";
     pub const CHECKPOINT_ERRORS: &str = "dcq_engine_checkpoint_errors_total";
     pub const COMMIT_NS: &str = "dcq_engine_commit_ns";
@@ -376,7 +289,7 @@ mod metric {
 
 /// The engine's always-compiled metrics spine: one [`MetricsRegistry`] owning
 /// every counter/gauge/histogram `metrics()` renders, the engine-owned counter
-/// handles `apply`/`register`/`migrate` bump directly, the [`TraceSink`]
+/// handles `apply`/`register`/`deregister` bump directly, the [`TraceSink`]
 /// per-batch traces go to, and the retired-telemetry base that keeps
 /// aggregated counting totals monotone across view teardown.
 ///
@@ -389,8 +302,6 @@ struct EngineTelemetry {
     batches: Arc<Counter>,
     views_registered: Arc<Counter>,
     views_deregistered: Arc<Counter>,
-    migrations_to_rerun: Arc<Counter>,
-    migrations_to_counting: Arc<Counter>,
     compactions: Arc<Counter>,
     checkpoint_errors: Arc<Counter>,
     // The histograms are observed only by the `telemetry`-gated trace hooks,
@@ -404,8 +315,8 @@ struct EngineTelemetry {
     policy_ns: Arc<Histogram>,
     #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     view_cost_ns: Arc<Histogram>,
-    /// Counting telemetry of sides whose last-holder views were deregistered;
-    /// see [`DcqView::retired_counting_telemetry`] for the per-view analogue.
+    /// Counting telemetry of sides whose last-holder views were deregistered
+    /// (what [`DcqView::teardown`] returns).
     retired: CountingTelemetry,
 }
 
@@ -421,14 +332,6 @@ impl EngineTelemetry {
             views_deregistered: registry.counter(
                 metric::VIEWS_DEREGISTERED,
                 "Views deregistered over the engine's lifetime",
-            ),
-            migrations_to_rerun: registry.counter(
-                metric::MIGRATIONS_TO_RERUN,
-                "Live view migrations onto touched-side rerun",
-            ),
-            migrations_to_counting: registry.counter(
-                metric::MIGRATIONS_TO_COUNTING,
-                "Live view migrations onto counting maintenance",
             ),
             compactions: registry.counter(
                 metric::COMPACTIONS,
@@ -448,11 +351,11 @@ impl EngineTelemetry {
             ),
             policy_ns: registry.histogram(
                 metric::POLICY_NS,
-                "Policy tail duration per apply (incl. migrations), wall nanoseconds",
+                "Tail duration per apply (report fold and scheduled checkpoint), wall nanoseconds",
             ),
             view_cost_ns: registry.histogram(
                 metric::VIEW_COST_NS,
-                "Per-view maintenance cost samples, nanoseconds on the pinned cost clock",
+                "Per-view maintenance duration per applied batch, wall nanoseconds",
             ),
             sink: Box::new(RingTraceSink::default()),
             registry,
@@ -461,7 +364,7 @@ impl EngineTelemetry {
     }
 }
 
-/// When [`DcqEngine::apply`]'s policy tail writes a **scheduled checkpoint**.
+/// When [`DcqEngine::apply`]'s tail writes a **scheduled checkpoint**.
 /// Default: never.
 ///
 /// The engine counts the batches applied since its last checkpoint; once that
@@ -512,11 +415,8 @@ struct SharedView {
     view: DcqView,
     /// Live handles pointing at this view.
     refs: usize,
-    /// The sharing key ((shape, strategy)) used to find it on registration.
-    key: (QueryShapeKey, IncrementalStrategy),
-    /// Batch statistics driving the adaptive policy; `Some` exactly for views
-    /// registered with [`IncrementalStrategy::Adaptive`].
-    adaptive: Option<BatchStats>,
+    /// The sharing key used to find it on registration.
+    key: QueryShapeKey,
 }
 
 /// The engine: one shared store, one plan cache, many registered views.
@@ -555,29 +455,23 @@ pub struct DcqEngine {
     handles: Vec<HandleSlot>,
     /// The distinct maintained views (the fan-out targets of `apply`).
     views: Vec<Option<SharedView>>,
-    /// (shape, strategy) → shared-view slot, so identical registrations share
-    /// one maintained view.
-    by_key: FastHashMap<(QueryShapeKey, IncrementalStrategy), usize>,
+    /// Query shape → shared-view slot, so identical registrations share one
+    /// maintained view.
+    by_key: FastHashMap<QueryShapeKey, usize>,
     /// Live counting sides keyed by α-canonical CQ shape: distinct DCQs with an
     /// equivalent side share one maintained `CountingCq` (folded once per
     /// batch), not just its plans and indexes.
     pool: CountingPool,
-    /// The rerun/counting crossover model the adaptive policy consults after
-    /// every batch; host-calibratable via [`DcqEngine::set_cost_model`].
-    cost_model: MaintenanceCostModel,
     /// The per-view fan-out workers `apply` distributes over; see
     /// [`DcqEngine::set_workers`].
     fanout: WorkerPool,
-    /// When `apply`'s policy tail writes a scheduled checkpoint; default never.
+    /// When `apply`'s tail writes a scheduled checkpoint; default never.
     compaction: CompactionPolicy,
     /// Where scheduled checkpoints go; `None` = the policy does nothing.
     checkpoint_sink: Option<Box<dyn CheckpointSink>>,
     /// Batches applied since the last scheduled checkpoint (or since
     /// construction).
     batches_since_checkpoint: usize,
-    /// The clock every policy-facing cost sample is taken on, pinned at
-    /// construction; see [`DcqEngine::cost_clock`].
-    cost_clock: CostClock,
     telemetry: EngineTelemetry,
 }
 
@@ -616,24 +510,12 @@ impl DcqEngine {
             views: Vec::new(),
             by_key: FastHashMap::default(),
             pool: CountingPool::new(),
-            cost_model: MaintenanceCostModel::default(),
             fanout: WorkerPool::new(workers),
             compaction: CompactionPolicy::default(),
             checkpoint_sink: None,
             batches_since_checkpoint: 0,
-            cost_clock: pinned_cost_clock(),
             telemetry: EngineTelemetry::new(),
         }
-    }
-
-    /// The clock every policy-facing cost sample this engine records is taken
-    /// on: [`CostClock::ThreadCpu`] wherever the platform offers a per-thread
-    /// CPU clock, [`CostClock::Wall`] elsewhere.  Pinned once at construction
-    /// — clock availability is a static platform property — so
-    /// [`BatchStats::observe_cost`] never sees mixed-provenance samples from
-    /// one engine.
-    pub fn cost_clock(&self) -> CostClock {
-        self.cost_clock
     }
 
     /// The number of fan-out workers [`DcqEngine::apply`] distributes per-view
@@ -657,7 +539,6 @@ impl DcqEngine {
     pub fn set_workers(&mut self, workers: usize) {
         self.fanout = WorkerPool::new(workers);
         self.store.set_commit_workers(workers);
-        // Each view re-applies K to the sides a later migration builds.
         let partitions = self.workers();
         for shared in self.views.iter_mut().flatten() {
             shared.view.set_fold_partitions(partitions);
@@ -703,7 +584,7 @@ impl DcqEngine {
     /// Register a prepared DCQ as a maintained view over the current store
     /// contents, returning its handle.
     ///
-    /// Registrations of an **identical query shape and strategy** share one
+    /// Registrations of an **identical query shape** share one
     /// maintained view: the engine maintains it once per batch no matter how many
     /// clients registered it, which is where multi-client fan-out wins big over
     /// independent per-client views.  (Shared views expose the variable naming of
@@ -718,65 +599,21 @@ impl DcqEngine {
         self.register(&prepared)
     }
 
-    /// Register with an explicitly forced maintenance strategy (benchmarks and
-    /// tests; production callers should trust the planner).  Sharing applies
-    /// per (shape, strategy): the same query forced to a different strategy gets
-    /// its own view.
-    pub fn register_with(&mut self, dcq: Dcq, strategy: IncrementalStrategy) -> Result<ViewHandle> {
-        let prepared = self.prepare(dcq)?;
-        let mut plan = prepared.plan.clone();
-        plan.strategy = strategy;
-        self.register_view(prepared.dcq.clone(), plan)
-    }
-
-    /// Register a view under the **adaptive** maintenance policy: it starts on
-    /// the engine kind the cost model predicts for its workload prior
-    /// ([`MaintenanceCostModel::initial_kind`] — counting, under the default
-    /// trickle-update prior), the engine tracks the effective size of every
-    /// batch it applies ([`BatchStats`]), and when the observed EWMA delta
-    /// fraction crosses the cost model's rerun/counting crossover the engine
-    /// migrates the live view to the cheaper engine kind — rebuilt from the
-    /// shared store at the current epoch, with the old engine's pooled sides
-    /// and registry indexes released.  Results are unaffected: a migrated view
-    /// stays byte-identical to a never-migrated one
-    /// (`tests/adaptive_migration.rs`).
-    ///
-    /// Adaptive registrations of one shape share a single maintained view and a
-    /// single statistics tracker, and are distinct from fixed-strategy
-    /// registrations of the same shape.
+    /// [`DcqEngine::register_dcq`].  Kept only because `benchmark/src/sut.rs`
+    /// names it; it goes when the benchmark stops naming it.
     pub fn register_adaptive(&mut self, dcq: Dcq) -> Result<ViewHandle> {
-        self.register_with(dcq, IncrementalStrategy::Adaptive)
+        self.register_dcq(dcq)
     }
 
-    /// The rerun/counting cost model the adaptive policy consults.
-    pub fn cost_model(&self) -> MaintenanceCostModel {
-        self.cost_model
-    }
-
-    /// Replace the adaptive cost model, e.g. with one fitted by
-    /// `cargo run --release --example calibrate` on this host.  Applies to
-    /// every adaptive view from the next batch on, and to the initial engine
-    /// kind of subsequent adaptive registrations — install the model before
-    /// registering views when the workload prior matters.
-    pub fn set_cost_model(&mut self, model: MaintenanceCostModel) {
-        self.cost_model = model;
-    }
-
-    /// Find-or-build the shared view for `(shape, strategy)` and hand out a new
+    /// Find-or-build the shared view for the query's shape and hand out a new
     /// handle to it.
     fn register_view(&mut self, dcq: Dcq, plan: IncrementalPlan) -> Result<ViewHandle> {
-        let key = (QueryShapeKey::of(&dcq), plan.strategy);
+        let key = QueryShapeKey::of(&dcq);
         let view_slot = match self.by_key.get(&key) {
             // Already maintained: the existing state is current to the store
-            // epoch, so the new registrant sees exactly the right result.  A
-            // manual migration may have moved a fixed-strategy view off its
-            // declared kind; a fresh registration re-asserts the contract, so
-            // migrate it back before handing out the handle.
+            // epoch, so the new registrant sees exactly the right result.
             Some(&slot) => {
                 self.views[slot].as_mut().expect("keyed view is live").refs += 1;
-                if key.1 != IncrementalStrategy::Adaptive {
-                    self.migrate_slot(slot, key.1)?;
-                }
                 slot
             }
             None => {
@@ -788,25 +625,18 @@ impl DcqEngine {
                 // indexes those plans probe through the store's registry —
                 // built once, maintained once per batch, refcounted across
                 // every side that probes them.
-                // Adaptive views start on the cost model's workload-prior
-                // choice (counting, under the default trickle prior) rather
-                // than the structural one: building the likely-right engine in
-                // one piece at registration avoids an almost-certain early
-                // migration whose mid-stream state is slower to probe.
-                let mut view = DcqView::build_shared_with_initial(
+                let mut view = DcqView::build_shared(
                     dcq,
                     plan,
                     &mut self.store,
                     &mut self.plans,
                     &mut self.pool,
-                    self.cost_model.initial_kind(),
                 )?;
                 view.set_fold_partitions(self.workers());
                 let shared = SharedView {
                     view,
                     refs: 1,
                     key: key.clone(),
-                    adaptive: (key.1 == IncrementalStrategy::Adaptive).then(BatchStats::default),
                 };
                 let slot = match self.views.iter().position(Option::is_none) {
                     Some(free) => {
@@ -868,15 +698,13 @@ impl DcqEngine {
             // shared structure is freed when its last reader deregisters.  The
             // view (and with it its side Rcs) must drop before the pool prunes,
             // or the dying sides still count as held.
-            dropped.view.teardown(&mut self.store);
-            // Fold the dying view's cumulative counting work into the engine's
+            // Fold the dying sides' cumulative counting work into the engine's
             // retired base so aggregated totals ([`DcqEngine::counting_telemetry`])
             // stay monotone across deregistration.  Sides the view shared with
-            // survivors were not folded into its retired counters and keep
-            // reporting through the views that still hold them.
-            self.telemetry
-                .retired
-                .merge(&dropped.view.retired_counting_telemetry());
+            // survivors are not returned and keep reporting through the views
+            // that still hold them.
+            let dying = dropped.view.teardown(&mut self.store);
+            self.telemetry.retired.merge(&dying);
             drop(dropped);
             self.pool.prune();
         }
@@ -892,13 +720,6 @@ impl DcqEngine {
     /// engine owns the database of record, so there is no "somebody else's
     /// relation" to silently skip.
     ///
-    /// After the fan-out, the **adaptive policy** runs: every adaptive view's
-    /// [`BatchStats`] absorbs the batch's effective delta fraction and the
-    /// measured per-batch maintenance cost of its active engine kind, and views
-    /// whose observed workload has crossed the cost model's rerun/counting
-    /// crossover (with hysteresis) are migrated in place — at the new epoch, so
-    /// the next batch finds them current.
-    ///
     /// ## Phases
     ///
     /// 1. **Commit (sequential, exclusive):** the store applies and versions
@@ -911,17 +732,13 @@ impl DcqEngine {
     ///    folded once per epoch by whichever worker locks them first, later
     ///    sharers get the memoized delta.  Worker count never changes results
     ///    or stats — only scheduling.
-    /// 3. **Policy (sequential):** outcomes fold into the report in slot
-    ///    order, adaptive views absorb delta-fraction and per-view **CPU
-    ///    time** cost samples (wall time would charge a view for its
-    ///    co-scheduled siblings and lock waits), and decided migrations
-    ///    execute at the new epoch.
+    /// 3. **Tail (sequential):** outcomes fold into the report in slot order,
+    ///    and a due scheduled checkpoint is written.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<ApplyReport> {
         #[cfg(feature = "telemetry")]
         let commit_start = Instant::now();
-        // The delta fraction is measured against the PRE-batch store size,
-        // matching how calibration sweeps label their samples (batch tuples
-        // relative to the store the batch is generated against).
+        // Traces report each view's delta as a fraction of the PRE-batch store.
+        #[cfg(feature = "telemetry")]
         let store_size = self.store.input_size().max(1);
         let applied = self.store.apply_batch(batch)?;
         self.batches_since_checkpoint += 1;
@@ -935,16 +752,14 @@ impl DcqEngine {
         let commit_ns = commit_start.elapsed().as_nanos() as u64;
 
         // Fan-out: per-view folds are independent given the immutable store
-        // borrow, so they distribute over the worker pool; each worker samples
-        // the engine's pinned cost clock around each view it runs.
+        // borrow, so they distribute over the worker pool.
         let store = &self.store;
         let applied_ref = &applied;
-        let cost_clock = self.cost_clock;
-        let tasks: Vec<(usize, &mut SharedView)> = self
+        let tasks: Vec<(usize, &mut DcqView)> = self
             .views
             .iter_mut()
             .enumerate()
-            .filter_map(|(slot, entry)| entry.as_mut().map(|shared| (slot, shared)))
+            .filter_map(|(slot, entry)| entry.as_mut().map(|shared| (slot, &mut shared.view)))
             .collect();
         // Waking a helper only pays when at least two views have real
         // maintenance to do this batch; a trickle or irrelevant batch (every
@@ -952,11 +767,11 @@ impl DcqEngine {
         // scheduling either way, so this never changes an observable.
         let working = tasks
             .iter()
-            .filter(|(_, shared)| {
+            .filter(|(_, view)| {
                 applied
                     .normalized
                     .iter()
-                    .any(|(name, delta)| !delta.is_empty() && shared.view.references(name))
+                    .any(|(name, delta)| !delta.is_empty() && view.references(name))
             })
             .count();
         let fanout = if working >= 2 {
@@ -966,22 +781,28 @@ impl DcqEngine {
         };
         #[cfg(feature = "telemetry")]
         let fanout_start = Instant::now();
-        type ViewOutcome = (usize, dcq_incremental::Result<BatchOutcome>, f64);
-        let outcomes: Vec<ViewOutcome> = fanout.run(tasks, |_, (slot, shared)| {
-            let sample = CostSample::start(cost_clock);
-            let outcome = shared.view.apply(applied_ref, store);
-            (slot, outcome, sample.finish())
+        // Each outcome carries the view's wall-clock maintenance time (taken
+        // only under the `telemetry` feature, 0 otherwise).
+        type ViewOutcome = (usize, dcq_incremental::Result<BatchOutcome>, u64);
+        let outcomes: Vec<ViewOutcome> = fanout.run(tasks, |_, (slot, view)| {
+            #[cfg(feature = "telemetry")]
+            let start = Instant::now();
+            let outcome = view.apply(applied_ref, store);
+            #[cfg(feature = "telemetry")]
+            let cost_ns = start.elapsed().as_nanos() as u64;
+            #[cfg(not(feature = "telemetry"))]
+            let cost_ns = 0;
+            (slot, outcome, cost_ns)
         });
         #[cfg(feature = "telemetry")]
         let fanout_ns = fanout_start.elapsed().as_nanos() as u64;
         #[cfg(feature = "telemetry")]
-        let policy_start = Instant::now();
+        let tail_start = Instant::now();
 
-        // Policy tail: deterministic slot order regardless of which worker ran
-        // what.  A view error surfaces after every view has seen the batch, so
-        // the healthy views' epochs stay aligned with the store.
+        // Tail: deterministic slot order regardless of which worker ran what.
+        // A view error surfaces after every view has seen the batch, so the
+        // healthy views' epochs stay aligned with the store.
         let mut first_error: Option<EngineError> = None;
-        let mut pending: Vec<(usize, IncrementalStrategy)> = Vec::new();
         #[cfg(feature = "telemetry")]
         let mut view_records: Vec<ViewTraceRecord> = Vec::new();
         for (slot, outcome, cost_ns) in outcomes {
@@ -999,57 +820,37 @@ impl DcqEngine {
             }
             report.result_added += outcome.result_added;
             report.result_removed += outcome.result_removed;
-            let shared = self.views[slot].as_mut().expect("live view slot");
-            let delta_fraction = outcome.effect.total() as f64 / store_size as f64;
-            let mut migration: Option<IncrementalStrategy> = None;
-            if let Some(stats) = shared.adaptive.as_mut() {
-                if !outcome.skipped {
-                    stats.observe(delta_fraction);
-                    stats.observe_cost(shared.view.active_strategy(), cost_ns, cost_clock);
-                    if let Some(target) =
-                        self.cost_model.decide(shared.view.active_strategy(), stats)
-                    {
-                        pending.push((slot, target));
-                        migration = Some(target);
-                    }
-                }
-            }
             #[cfg(feature = "telemetry")]
             {
                 if !outcome.skipped {
-                    self.telemetry.view_cost_ns.observe(cost_ns as u64);
+                    self.telemetry.view_cost_ns.observe(cost_ns);
                 }
                 view_records.push(ViewTraceRecord {
                     slot,
-                    strategy: strategy_label(shared.view.active_strategy()),
-                    delta_fraction: if outcome.skipped { 0.0 } else { delta_fraction },
-                    cost_ns: cost_ns as u64,
-                    clock: clock_label(cost_clock),
+                    delta_fraction: if outcome.skipped {
+                        0.0
+                    } else {
+                        outcome.effect.total() as f64 / store_size as f64
+                    },
+                    cost_ns,
                     skipped: outcome.skipped,
                     result_added: outcome.result_added,
                     result_removed: outcome.result_removed,
-                    migration: migration.map(strategy_label),
                 });
             }
             #[cfg(not(feature = "telemetry"))]
-            let _ = migration;
+            let _ = (slot, cost_ns);
         }
         if let Some(e) = first_error {
             return Err(e);
         }
-        // Migrations mutate the store's registry and the side pool, so they run
-        // after the fan-out released its borrows.  Each migrated view is
-        // rebuilt at `applied.epoch` — exactly the state it already reflects.
-        for (slot, target) in pending {
-            self.migrate_slot(slot, target)?;
-        }
-        // A scheduled checkpoint closes the policy tail: the batch is committed
-        // and every view reflects it, so a checkpoint taken here is a
-        // consistent cut of the stream.
+        // A scheduled checkpoint closes the tail: the batch is committed and
+        // every view reflects it, so a checkpoint taken here is a consistent
+        // cut of the stream.
         self.maybe_checkpoint();
         #[cfg(feature = "telemetry")]
         {
-            let policy_ns = policy_start.elapsed().as_nanos() as u64;
+            let policy_ns = tail_start.elapsed().as_nanos() as u64;
             self.telemetry.commit_ns.observe(commit_ns);
             self.telemetry.fanout_ns.observe(fanout_ns);
             self.telemetry.policy_ns.observe(policy_ns);
@@ -1066,53 +867,6 @@ impl DcqEngine {
             });
         }
         Ok(report)
-    }
-
-    /// Migrate the view behind `handle` to the given engine kind at the current
-    /// epoch (see [`DcqView::migrate`]): the target state is rebuilt from the
-    /// shared store (pooled counting sides are shared, not reseeded, when
-    /// another view holds the same side shape), swapped in atomically, and the
-    /// old engine's pooled sides and registry index references are released.
-    ///
-    /// Returns `false` when the view already runs `target`.  Passing
-    /// [`IncrementalStrategy::Adaptive`] migrates back to the planner's
-    /// choice, counting.  The declared strategy — and with it the view-sharing
-    /// key — never changes; results are strategy-independent, so handles
-    /// sharing the view observe nothing but a different cost profile.
-    pub fn migrate(&mut self, handle: ViewHandle, target: IncrementalStrategy) -> Result<bool> {
-        let slot = self.resolve(handle)?;
-        self.migrate_slot(slot, target)
-    }
-
-    /// [`DcqEngine::migrate`] by shared-view slot (the policy loop's entry).
-    fn migrate_slot(&mut self, slot: usize, target: IncrementalStrategy) -> Result<bool> {
-        let shared = self.views[slot].as_mut().expect("live view slot");
-        let migrated =
-            shared
-                .view
-                .migrate(target, &mut self.store, &mut self.plans, &mut self.pool)?;
-        if migrated {
-            let active = shared.view.active_strategy();
-            if let Some(stats) = shared.adaptive.as_mut() {
-                stats.note_migration();
-            }
-            match active {
-                IncrementalStrategy::EasyRerun => self.telemetry.migrations_to_rerun.inc(),
-                IncrementalStrategy::Counting => self.telemetry.migrations_to_counting.inc(),
-                IncrementalStrategy::Adaptive => unreachable!("active kind is always concrete"),
-            }
-            // A migration away from counting may have dropped the last holder
-            // of a pooled side shape.
-            self.pool.prune();
-        }
-        Ok(migrated)
-    }
-
-    /// The adaptive batch statistics of the view behind `handle`: `None` for
-    /// views registered with a fixed strategy.
-    pub fn batch_stats(&self, handle: ViewHandle) -> Result<Option<BatchStats>> {
-        let slot = self.resolve(handle)?;
-        Ok(self.views[slot].as_ref().expect("live handle").adaptive)
     }
 
     /// The view behind a handle (possibly shared with other handles of the same
@@ -1177,26 +931,24 @@ impl DcqEngine {
             views_deregistered: self.telemetry.views_deregistered.get() as usize,
             index_count: self.store.index_count(),
             index_bytes: self.store.index_bytes(),
-            migrations_to_rerun: self.telemetry.migrations_to_rerun.get() as usize,
-            migrations_to_counting: self.telemetry.migrations_to_counting.get() as usize,
             compactions: self.telemetry.compactions.get() as usize,
             pool_live: pool.live,
             pool_shared: pool.shared,
             workers: self.fanout.workers(),
+            ..EngineStats::default()
         }
     }
 
     /// Aggregated counting-maintenance telemetry across every side the engine
     /// ever maintained: the engine's retired base (sides whose last-holder
-    /// views were deregistered), each live view's migration-retired base, and
-    /// the live pooled sides — deduplicated by side identity, so a side shared
-    /// by `N` views is counted once.  Schedule-independent and monotone; all
-    /// gated fields read zero without the `telemetry` feature.
+    /// views were deregistered) and the live pooled sides — deduplicated by
+    /// side identity, so a side shared by `N` views is counted once.
+    /// Schedule-independent and monotone; all gated fields read zero without
+    /// the `telemetry` feature.
     pub fn counting_telemetry(&self) -> CountingTelemetry {
         let mut total = self.telemetry.retired;
         let mut seen: FastHashSet<usize> = FastHashSet::default();
         for shared in self.views.iter().flatten() {
-            total.merge(&shared.view.retired_counting_telemetry());
             for (side, telemetry) in shared.view.counting_telemetry() {
                 if seen.insert(side) {
                     total.merge(&telemetry);
@@ -1482,7 +1234,7 @@ impl DcqEngine {
         self.checkpoint_sink = sink;
     }
 
-    /// The scheduled-checkpoint step at the end of `apply`'s policy tail.
+    /// The scheduled-checkpoint step at the end of `apply`'s tail.
     fn maybe_checkpoint(&mut self) {
         let due = self
             .compaction
@@ -1586,21 +1338,13 @@ mod tests {
         let mut engine = engine();
         let easy = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
         let hard = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        // The rerun arm runs only where a caller names it.
-        let rerun = engine
-            .register_with(parse_dcq(EASY).unwrap(), IncrementalStrategy::EasyRerun)
-            .unwrap();
-        assert_eq!(engine.view_count(), 3);
+        assert_eq!(engine.view_count(), 2);
         for handle in [easy, hard] {
             assert_eq!(
                 engine.view(handle).unwrap().strategy(),
                 IncrementalStrategy::Counting
             );
         }
-        assert_eq!(
-            engine.view(rerun).unwrap().strategy(),
-            IncrementalStrategy::EasyRerun
-        );
 
         let mut batch = DeltaBatch::new();
         batch.insert("Graph", int_row([9, 7]));
@@ -1609,11 +1353,11 @@ mod tests {
         batch.delete("Edge", int_row([2, 4]));
         let report = engine.apply(&batch).unwrap();
         assert_eq!(report.epoch, 1);
-        assert_eq!(report.views_applied, 3);
+        assert_eq!(report.views_applied, 2);
         assert_eq!(report.effect.inserted, 3);
         assert_eq!(report.effect.deleted, 1);
 
-        for handle in [easy, hard, rerun] {
+        for handle in [easy, hard] {
             let view = engine.view(handle).unwrap();
             let expected =
                 baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
@@ -1775,10 +1519,8 @@ mod tests {
             .collect();
         assert_eq!(engine.view_count(), 4);
         assert_eq!(engine.distinct_view_count(), 1);
-        // The same shape under a *forced different strategy* is its own view.
-        let forced = engine
-            .register_with(parse_dcq(HARD).unwrap(), IncrementalStrategy::EasyRerun)
-            .unwrap();
+        // A different shape is its own view.
+        let other = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
         assert_eq!(engine.distinct_view_count(), 2);
 
         let mut batch = DeltaBatch::new();
@@ -1786,7 +1528,7 @@ mod tests {
         let report = engine.apply(&batch).unwrap();
         // 4 handles share one counting view; the fan-out is 2 distinct views.
         assert_eq!(report.views_applied, 2);
-        for h in handles.iter().chain([&forced]) {
+        for h in handles.iter().chain([&other]) {
             let view = engine.view(*h).unwrap();
             let expected =
                 baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
@@ -1866,194 +1608,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_views_migrate_both_ways_under_the_policy() {
-        let mut engine = engine();
-        // The test store is tiny, so pick thresholds in delta-fraction terms:
-        // crossover at 20% of the store, short warm-up.  Decisions depend only
-        // on observed delta fractions, never on wall-clock, so this test is
-        // deterministic.
-        engine.set_cost_model(MaintenanceCostModel {
-            crossover_fraction: 0.2,
-            hysteresis: 0.1,
-            min_observations: 2,
-            ..MaintenanceCostModel::default()
-        });
-        assert_eq!(engine.cost_model().crossover_fraction, 0.2);
-        let adaptive = engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap();
-        let view = engine.view(adaptive).unwrap();
-        assert_eq!(view.strategy(), IncrementalStrategy::Adaptive);
-        assert_eq!(
-            view.active_strategy(),
-            IncrementalStrategy::Counting,
-            "the trickle prior (and the dichotomy) start this view on counting"
-        );
-        assert!(engine.batch_stats(adaptive).unwrap().is_some());
-        // An adaptive registration of the same shape shares view AND stats; a
-        // fixed-strategy registration of the same shape does not.
-        let sharer = engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap();
-        assert_eq!(engine.distinct_view_count(), 1);
-        let fixed = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        assert_eq!(engine.distinct_view_count(), 2);
-        assert!(engine.batch_stats(fixed).unwrap().is_none());
-
-        // Bulk batches (~1/3 of the store each) push the EWMA past the
-        // crossover: after the warm-up the view flips to rerun.
-        let mut next = 100;
-        while engine.view(adaptive).unwrap().active_strategy() == IncrementalStrategy::Counting {
-            let mut batch = DeltaBatch::new();
-            for _ in 0..4 {
-                batch.insert("Graph", int_row([next, next + 1]));
-                next += 2;
-            }
-            engine.apply(&batch).unwrap();
-            assert!(next < 200, "policy never migrated to rerun");
-        }
-        assert_eq!(engine.stats().migrations_to_rerun, 1);
-        let stats = engine.batch_stats(adaptive).unwrap().unwrap();
-        assert!(stats.ewma_delta_fraction > 0.2);
-        assert!(stats.cost_estimate(IncrementalStrategy::Counting).is_some());
-
-        // Trickle batches decay the EWMA back below the band: the view returns
-        // to counting.
-        while engine.view(adaptive).unwrap().active_strategy() == IncrementalStrategy::EasyRerun {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Edge", int_row([next, next]));
-            next += 1;
-            engine.apply(&batch).unwrap();
-            assert!(next < 300, "policy never migrated back to counting");
-        }
-        assert_eq!(engine.stats().migrations_to_counting, 1);
-        let stats = engine.batch_stats(adaptive).unwrap().unwrap();
-        assert!(
-            stats
-                .cost_estimate(IncrementalStrategy::EasyRerun)
-                .is_some(),
-            "the rerun leg left cost samples behind"
-        );
-
-        // Throughout and after all migrations every handle stays exact.
-        for h in [adaptive, sharer, fixed] {
-            let view = engine.view(h).unwrap();
-            let expected =
-                baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-            assert_eq!(
-                engine.result(h).unwrap().sorted_rows(),
-                expected.sorted_rows()
-            );
-        }
-        assert_eq!(
-            engine.view(adaptive).unwrap().stats().migrations,
-            2,
-            "one flip each way"
-        );
-
-        // Deregistration drains shared state exactly as for fixed views.
-        for h in [adaptive, sharer, fixed] {
-            engine.deregister(h).unwrap();
-        }
-        assert_eq!(engine.stats().index_count, 0);
-        assert_eq!(engine.counting_pool_stats().live, 0);
-    }
-
-    #[test]
-    fn manual_migration_is_exact_and_conserves_shared_state() {
-        let mut engine = engine();
-        let fixed = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        let baseline_indexes = engine.stats().index_count;
-        assert!(baseline_indexes > 0);
-        // A *distinct* view with the same counting sides (the adaptive twin of
-        // the shape keys separately but pools the same sides), so a manual
-        // migration of one view must not strand or free the other's state.
-        let control = engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap();
-        assert_eq!(engine.distinct_view_count(), 2);
-        assert_eq!(engine.stats().index_count, baseline_indexes);
-
-        assert!(engine
-            .migrate(fixed, IncrementalStrategy::EasyRerun)
-            .unwrap());
-        assert!(!engine
-            .migrate(fixed, IncrementalStrategy::EasyRerun)
-            .unwrap());
-        assert_eq!(
-            engine.stats().index_count,
-            baseline_indexes,
-            "control still holds every shared index"
-        );
-        assert_eq!(engine.stats().migrations_to_rerun, 1);
-
-        let mut batch = DeltaBatch::new();
-        batch.insert("Graph", int_row([5, 2]));
-        batch.delete("Edge", int_row([1, 3]));
-        engine.apply(&batch).unwrap();
-        for h in [fixed, control] {
-            let view = engine.view(h).unwrap();
-            let expected =
-                baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-            assert_eq!(
-                engine.result(h).unwrap().sorted_rows(),
-                expected.sorted_rows()
-            );
-        }
-
-        // Migrate back: the pooled side is *shared* again, not reseeded.
-        let hits_before = engine.counting_pool_stats().hits;
-        assert!(engine
-            .migrate(fixed, IncrementalStrategy::Counting)
-            .unwrap());
-        assert!(
-            engine.counting_pool_stats().hits > hits_before,
-            "re-migration must reuse the control's live pooled sides"
-        );
-        assert_eq!(engine.stats().index_count, baseline_indexes);
-
-        engine.deregister(fixed).unwrap();
-        engine.deregister(control).unwrap();
-        assert_eq!(engine.stats().index_count, 0);
-    }
-
-    #[test]
-    fn re_registration_re_asserts_the_declared_strategy() {
-        let mut engine = engine();
-        let fixed = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        assert!(engine
-            .migrate(fixed, IncrementalStrategy::EasyRerun)
-            .unwrap());
-        assert_eq!(
-            engine.view(fixed).unwrap().active_strategy(),
-            IncrementalStrategy::EasyRerun
-        );
-        // A fresh registration of the same (shape, Counting) key shares the
-        // manually migrated view — and migrates it back to the kind the
-        // registration demands.
-        let again = engine
-            .register_with(parse_dcq(HARD).unwrap(), IncrementalStrategy::Counting)
-            .unwrap();
-        assert_eq!(engine.distinct_view_count(), 1, "same key shares the view");
-        for h in [fixed, again] {
-            assert_eq!(
-                engine.view(h).unwrap().active_strategy(),
-                IncrementalStrategy::Counting,
-                "registration re-asserts the declared strategy"
-            );
-        }
-        let mut batch = DeltaBatch::new();
-        batch.insert("Graph", int_row([5, 2]));
-        engine.apply(&batch).unwrap();
-        for h in [fixed, again] {
-            let view = engine.view(h).unwrap();
-            let expected =
-                baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-            assert_eq!(
-                engine.result(h).unwrap().sorted_rows(),
-                expected.sorted_rows()
-            );
-        }
-        engine.deregister(fixed).unwrap();
-        engine.deregister(again).unwrap();
-        assert_eq!(engine.stats().index_count, 0);
-    }
-
-    #[test]
     fn parallel_and_sequential_apply_agree_bit_for_bit() {
         // A quick in-crate smoke test; the full proptest suite lives in
         // tests/parallel_determinism.rs at the workspace root.
@@ -2066,16 +1620,9 @@ mod tests {
 
         let mut handles = Vec::new();
         for engine in [&mut sequential, &mut parallel] {
-            engine.set_cost_model(MaintenanceCostModel {
-                crossover_fraction: 0.2,
-                hysteresis: 0.1,
-                min_observations: 2,
-                ..MaintenanceCostModel::default()
-            });
             let hs = vec![
                 engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap(),
                 engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap(),
-                engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap(),
                 // A second Q_G5-style hard shape pooling the same positive side.
                 engine
                     .register_dcq(
@@ -2110,10 +1657,6 @@ mod tests {
                     sequential.view(*h1).unwrap().stats(),
                     parallel.view(*h2).unwrap().stats()
                 );
-                assert_eq!(
-                    sequential.view(*h1).unwrap().active_strategy(),
-                    parallel.view(*h2).unwrap().active_strategy()
-                );
             }
             // `workers` is the one stats field that legitimately differs — it
             // reports configuration, not work done.
@@ -2136,38 +1679,6 @@ mod tests {
                 sequential.counting_pool_stats(),
                 parallel.counting_pool_stats()
             );
-        }
-        // Cost samples are timing and therefore NOT comparable across engines —
-        // but their provenance must be the engine's pinned clock, the CPU clock
-        // wherever the platform has one, so parallel scheduling cannot skew them.
-        if dcq_core::heuristics::thread_cpu_time_ns().is_some() {
-            assert_eq!(parallel.cost_clock(), CostClock::ThreadCpu);
-            let stats = parallel.batch_stats(handles[1][2]).unwrap().unwrap();
-            assert_eq!(stats.cost_clock, dcq_core::heuristics::CostClock::ThreadCpu);
-        }
-    }
-
-    #[test]
-    fn cost_samples_use_one_pinned_clock() {
-        // The clock is pinned at construction to the platform's best choice…
-        let mut engine = engine();
-        let expected = if dcq_core::heuristics::thread_cpu_time_ns().is_some() {
-            CostClock::ThreadCpu
-        } else {
-            CostClock::Wall
-        };
-        assert_eq!(engine.cost_clock(), expected);
-
-        // …and every sample the adaptive policy sees carries exactly that
-        // provenance, batch after batch (the old design re-probed per sample
-        // and could mix clocks within one engine).
-        let adaptive = engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap();
-        for step in 0..5i64 {
-            let mut batch = DeltaBatch::new();
-            batch.insert("Graph", int_row([900 + step, 901 + step]));
-            engine.apply(&batch).unwrap();
-            let stats = engine.batch_stats(adaptive).unwrap().unwrap();
-            assert_eq!(stats.cost_clock, expected, "clock drifted at step {step}");
         }
     }
 
@@ -2262,11 +1773,7 @@ mod tests {
         let mut engine = engine();
         engine.set_workers(2);
         let hard = engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
-        // One rerun view beside the counting one, so the exposition covers a
-        // view that holds no pooled side.
-        let easy = engine
-            .register_with(parse_dcq(EASY).unwrap(), IncrementalStrategy::EasyRerun)
-            .unwrap();
+        let easy = engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
         let mut batch = DeltaBatch::new();
         batch.insert("Graph", int_row([5, 2]));
         batch.delete("Edge", int_row([1, 3]));
@@ -2277,7 +1784,7 @@ mod tests {
         assert_eq!(stats.batches_applied, 1);
         assert_eq!(stats.views_registered, 2);
         assert_eq!(stats.workers, 2);
-        assert_eq!(stats.pool_live, 2, "two counting sides live");
+        assert_eq!(stats.pool_live, 4, "two views, two counting sides each");
         assert_eq!(stats.pool_shared, 0);
 
         // The exposition carries every layer's metric families, in every
@@ -2297,7 +1804,7 @@ mod tests {
             "dcq_index_cow_clones_total",
             "dcq_counting_index_probes_total",
             "dcq_counting_folds_owned_total",
-            "dcq_pool_live_sides 2",
+            "dcq_pool_live_sides 4",
             "dcq_plan_cache_misses_total 2",
         ] {
             assert!(
@@ -2326,27 +1833,19 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
-    fn per_batch_traces_record_phases_views_and_migrations() {
+    fn per_batch_traces_record_phases_and_views() {
         let mut engine = engine();
-        engine.set_cost_model(MaintenanceCostModel {
-            crossover_fraction: 0.2,
-            hysteresis: 0.1,
-            min_observations: 2,
-            ..MaintenanceCostModel::default()
-        });
-        let adaptive = engine.register_adaptive(parse_dcq(HARD).unwrap()).unwrap();
+        engine.register_dcq(parse_dcq(HARD).unwrap()).unwrap();
         engine.register_dcq(parse_dcq(EASY).unwrap()).unwrap();
 
-        // Drive bulk batches until the adaptive view migrates to rerun.
         let mut next = 100;
-        while engine.view(adaptive).unwrap().active_strategy() == IncrementalStrategy::Counting {
+        for _ in 0..3 {
             let mut batch = DeltaBatch::new();
             for _ in 0..4 {
                 batch.insert("Graph", int_row([next, next + 1]));
                 next += 2;
             }
             engine.apply(&batch).unwrap();
-            assert!(next < 200, "policy never migrated");
         }
 
         let traces = engine.traces();
@@ -2355,31 +1854,16 @@ mod tests {
             engine.stats().batches_applied,
             "one trace per apply"
         );
-        let clock = clock_label(engine.cost_clock());
         for (i, trace) in traces.iter().enumerate() {
             assert_eq!(trace.epoch, i as u64 + 1);
             assert_eq!(trace.batch_len, 4);
             assert_eq!(trace.inserted, 4);
             assert_eq!(trace.views.len(), 2, "every live view gets a record");
             for record in &trace.views {
-                assert_eq!(record.clock, clock);
-                if !record.skipped {
-                    assert!(record.delta_fraction > 0.0);
-                }
+                assert!(!record.skipped, "both views read Graph");
+                assert!(record.delta_fraction > 0.0);
             }
         }
-        // The last trace carries the migration decision on the adaptive slot.
-        let last = traces.last().unwrap();
-        let migrated: Vec<_> = last
-            .views
-            .iter()
-            .filter(|r| r.migration == Some("EasyRerun"))
-            .collect();
-        assert_eq!(migrated.len(), 1, "exactly one view migrated: {last:?}");
-        assert_eq!(
-            migrated[0].strategy, "Counting",
-            "strategy is pre-migration"
-        );
 
         // Phase histograms saw every batch, and the JSON-lines dump is one
         // object per trace with the phase fields present.
@@ -2417,26 +1901,5 @@ mod tests {
         assert_eq!(engine.counting_telemetry(), CountingTelemetry::default());
         assert_eq!(engine.stats().batches_applied, 1, "stats stay live");
         assert!(engine.metrics().contains("dcq_engine_batches_total 1"));
-    }
-
-    #[test]
-    fn forced_strategy_registration_is_supported() {
-        let mut engine = engine();
-        let counting = engine
-            .register_with(parse_dcq(EASY).unwrap(), IncrementalStrategy::Counting)
-            .unwrap();
-        assert_eq!(
-            engine.view(counting).unwrap().strategy(),
-            IncrementalStrategy::Counting
-        );
-        let mut batch = DeltaBatch::new();
-        batch.insert("Triple", int_row([5, 6, 7]));
-        engine.apply(&batch).unwrap();
-        let view = engine.view(counting).unwrap();
-        let expected = baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-        assert_eq!(
-            engine.result(counting).unwrap().sorted_rows(),
-            expected.sorted_rows()
-        );
     }
 }

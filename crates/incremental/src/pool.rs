@@ -63,7 +63,7 @@ pub struct CountingPoolStats {
 /// Entries are weak: the pool never keeps a side alive on its own, it only
 /// lets concurrent views find each other.  Dead entries are pruned lazily.
 /// The pool itself is only touched from the engine's sequential phases
-/// (registration, migration, deregistration) — the parallel fan-out sees
+/// (registration, deregistration) — the parallel fan-out sees
 /// pooled sides exclusively through the `Arc`s the views already hold.
 #[derive(Default)]
 pub struct CountingPool {

@@ -73,7 +73,7 @@ pub struct RegisterReply {
     pub view: u64,
     /// Epoch the initial materialization is valid at.
     pub epoch: Epoch,
-    /// The strategy the engine actually chose (`rerun`/`counting`/`adaptive`).
+    /// The maintenance strategy of the view; always `counting`.
     pub strategy: String,
 }
 
@@ -155,8 +155,8 @@ impl DcqClient {
         }
     }
 
-    /// Register a DCQ; `strategy` is `rerun`/`counting`/`adaptive` or `None`
-    /// for the engine's adaptive default.
+    /// Register a DCQ; `strategy` is `None` or `counting` (the only
+    /// maintenance engine) — anything else is an `unknown strategy` error.
     pub fn register(&mut self, query: &str, strategy: Option<&str>) -> io::Result<RegisterReply> {
         let reply = Self::expect_ok(self.round_trip(&Request::Register {
             query: query.to_string(),
@@ -168,7 +168,7 @@ impl DcqClient {
             strategy: reply
                 .get("strategy")
                 .and_then(Json::as_str)
-                .unwrap_or("adaptive")
+                .ok_or_else(|| protocol_err("reply missing field `strategy`"))?
                 .to_string(),
         })
     }
@@ -347,7 +347,9 @@ impl Subscription {
 
 #[cfg(test)]
 mod tests {
-    use super::{retry_backoff_ms, RETRY_HINT_CAP_MS};
+    use super::*;
+    use crate::proto;
+    use std::net::TcpListener;
 
     #[test]
     fn backoff_honours_the_hint_up_to_the_cap() {
@@ -365,5 +367,28 @@ mod tests {
         let spread: std::collections::HashSet<u64> =
             (0..64).map(|salt| retry_backoff_ms(1000, salt)).collect();
         assert!(spread.len() > 8, "jitter must vary with the salt");
+    }
+
+    #[test]
+    fn register_reply_without_strategy_is_a_protocol_error() {
+        // A fake server answering the one `register` with `view` and `epoch`
+        // but no `strategy`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap().expect("a request frame");
+            let reply = proto::ok([("view", Json::Int(0)), ("epoch", Json::Int(0))]);
+            write_frame(&mut stream, &reply).unwrap();
+        });
+        let mut client = DcqClient::connect(addr).unwrap();
+        let err = client
+            .register("Q(a) :- R(a) EXCEPT S(a)", None)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `strategy`"),
+            "{err}"
+        );
+        server.join().unwrap();
     }
 }

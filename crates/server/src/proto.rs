@@ -92,7 +92,8 @@ pub enum Request {
     Register {
         /// The DCQ source text (`Q(..) :- … EXCEPT …`).
         query: String,
-        /// `"rerun"`, `"counting"`, or `"adaptive"` (default).
+        /// `"counting"` (the default, and the only maintenance engine); any
+        /// other value is rejected with `unknown strategy`.
         strategy: Option<String>,
     },
     /// Drop a view registration.

@@ -37,7 +37,7 @@
 use crate::durability::{Durability, DurabilityConfig};
 use crate::json::Json;
 use crate::proto::{self, read_frame, rows_to_json, write_frame, Request};
-use dcq_core::{parse_dcq, IncrementalStrategy};
+use dcq_core::parse_dcq;
 use dcq_engine::{CompactionPolicy, DcqEngine, ViewHandle};
 use dcq_storage::fanout::WorkerPool;
 use dcq_storage::{DeltaBatch, Epoch, Row};
@@ -61,7 +61,7 @@ pub struct ServerConfig {
     /// engine's compaction policy checkpoints + rotates through it.
     pub durability: Option<DurabilityConfig>,
     /// Scheduled compaction bound installed on the engine (checked in the
-    /// apply policy tail).  Unbounded by default.
+    /// apply tail).  Unbounded by default.
     pub compaction: CompactionPolicy,
     /// How long a `read` with `min_epoch` waits for the commit gate before
     /// giving up with an error.
@@ -169,7 +169,6 @@ struct PushAck {
 struct RegisterAck {
     view: u64,
     epoch: Epoch,
-    strategy: String,
 }
 
 enum Command {
@@ -523,14 +522,6 @@ fn diff_sorted(old: &[Row], new: &[Row]) -> (Vec<Row>, Vec<Row>) {
     (added, removed)
 }
 
-fn strategy_name(s: IncrementalStrategy) -> &'static str {
-    match s {
-        IncrementalStrategy::EasyRerun => "rerun",
-        IncrementalStrategy::Counting => "counting",
-        IncrementalStrategy::Adaptive => "adaptive",
-    }
-}
-
 /// The ingest thread: sole owner of the engine and (via the shared WAL
 /// writer) the append side of durability.
 fn ingest_loop(
@@ -682,17 +673,12 @@ fn do_register(
     strategy: Option<&str>,
 ) -> Result<RegisterAck, String> {
     let dcq = parse_dcq(query).map_err(|e| format!("parse error: {e}"))?;
-    let handle = match strategy {
-        None | Some("adaptive") => engine.register_adaptive(dcq),
-        Some("rerun") => engine.register_with(dcq, IncrementalStrategy::EasyRerun),
-        Some("counting") => engine.register_with(dcq, IncrementalStrategy::Counting),
+    // Counting is the only maintenance engine; naming it is allowed.
+    match strategy {
+        None | Some("counting") => {}
         Some(other) => return Err(format!("unknown strategy `{other}`")),
     }
-    .map_err(|e| e.to_string())?;
-    let strategy = engine
-        .view(handle)
-        .map(|v| strategy_name(v.strategy()))
-        .unwrap_or("adaptive");
+    let handle = engine.register_dcq(dcq).map_err(|e| e.to_string())?;
     let id = *next_view;
     *next_view += 1;
     let rows = Arc::new(
@@ -708,11 +694,7 @@ fn do_register(
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .insert(id, Arc::new(ResultSnapshot { epoch, rows }));
-    Ok(RegisterAck {
-        view: id,
-        epoch,
-        strategy: strategy.to_string(),
-    })
+    Ok(RegisterAck { view: id, epoch })
 }
 
 /// After a commit: refresh every view's published snapshot and feed each
@@ -871,7 +853,7 @@ fn handle_connection(
                         Some(Ok(ack)) => proto::ok([
                             ("view", Json::Int(ack.view as i64)),
                             ("epoch", Json::Int(ack.epoch as i64)),
-                            ("strategy", Json::str(ack.strategy)),
+                            ("strategy", Json::str("counting")),
                         ]),
                         Some(Err(e)) => proto::error(e),
                         None => proto::error("ingest thread unresponsive"),

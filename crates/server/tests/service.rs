@@ -57,10 +57,7 @@ fn service_round_trip_matches_local_engine() {
     let db = seeded_db();
     let mut control = DcqEngine::with_database(db.clone());
     let control_view = control
-        .register_with(
-            dcq_core::parse_dcq(DIFF_QUERY).unwrap(),
-            dcq_core::IncrementalStrategy::Counting,
-        )
+        .register_dcq(dcq_core::parse_dcq(DIFF_QUERY).unwrap())
         .unwrap();
 
     let server = DcqServer::start(DcqEngine::with_database(db), ServerConfig::default()).unwrap();
@@ -145,7 +142,18 @@ fn subscription_streams_result_churn() {
     )
     .unwrap();
     let mut client = DcqClient::connect(server.addr()).unwrap();
-    let reg = client.register(FILTER_QUERY, Some("rerun")).unwrap();
+    // Counting is the only maintenance engine: naming any other strategy is
+    // a typed error, and an unnamed one registers a counting view.
+    for strategy in ["rerun", "adaptive"] {
+        let err = client.register(FILTER_QUERY, Some(strategy)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("unknown strategy `{strategy}`")),
+            "{err}"
+        );
+    }
+    let reg = client.register(FILTER_QUERY, None).unwrap();
+    assert_eq!(reg.strategy, "counting");
 
     let sub_conn = DcqClient::connect(server.addr()).unwrap();
     let mut sub = sub_conn.subscribe(reg.view).unwrap();
@@ -295,10 +303,7 @@ fn kill_and_restart_recovers_identical_state() {
     // The control runs the same batches uninterrupted on a plain engine.
     let mut control = DcqEngine::with_database(db.clone());
     let control_view = control
-        .register_with(
-            dcq_core::parse_dcq(DIFF_QUERY).unwrap(),
-            dcq_core::IncrementalStrategy::Counting,
-        )
+        .register_dcq(dcq_core::parse_dcq(DIFF_QUERY).unwrap())
         .unwrap();
 
     let config = ServerConfig {
@@ -350,10 +355,7 @@ fn kill_and_restart_recovers_identical_state() {
     // And identical view results once the view is re-registered (view
     // registrations are session state, the store is the durable part).
     let view = recovered
-        .register_with(
-            dcq_core::parse_dcq(DIFF_QUERY).unwrap(),
-            dcq_core::IncrementalStrategy::Counting,
-        )
+        .register_dcq(dcq_core::parse_dcq(DIFF_QUERY).unwrap())
         .unwrap();
     assert_eq!(
         recovered.result(view).unwrap().sorted_rows(),
@@ -452,8 +454,8 @@ fn concurrent_reads_do_not_slow_ingest() {
 
     // One measurement: a no-read baseline phase, then the same ingest with
     // reader threads hammering the snapshot path.  Means are per (batch,
-    // view) maintenance cost from `dcq_engine_view_cost_ns` — thread-CPU
-    // time, so snapshot-served reads must not show up in it at all.
+    // view) maintenance wall time from `dcq_engine_view_cost_ns`; reads that
+    // never touch the engine leave it alone apart from scheduler noise.
     let mut step = 0i64;
     let mut measure = |client: &mut DcqClient| -> (u64, u64, u64) {
         let (sum_0, count_0) = per_view_cost(&client.metrics().unwrap());

@@ -24,7 +24,7 @@
 //! The store keeps two coordinated representations of every relation:
 //!
 //! * the canonical row-space [`Relation`] (boxed [`Row`]s) — the public API,
-//!   rerun evaluation, and serialization boundary;
+//!   schema validation, one-shot evaluation, and serialization boundary;
 //! * a flat id-space mirror — a per-store [`ValueDict`] interning every
 //!   [`Value`](crate::Value) to a dense `u32`, and one [`RelationStore`] of
 //!   `arity × len` `u32` columns per relation.

@@ -26,8 +26,8 @@
 //! engine's parallel ≡ sequential guarantee (see `tests/parallel_determinism.rs`
 //! in the workspace root):
 //!
-//! * **Schedule-independent** counts (index probes, folds, COW clones,
-//!   migrations) depend only on the logical operation sequence, so two engines
+//! * **Schedule-independent** counts (index probes, folds, COW clones)
+//!   depend only on the logical operation sequence, so two engines
 //!   fed the same batches must report bit-identical values regardless of
 //!   worker count.
 //! * **Timing** samples (histograms, phase nanoseconds) are physical
@@ -395,21 +395,15 @@ fn push_header(out: &mut String, name: &str, help: &str, kind: &str) {
 pub struct ViewTraceRecord {
     /// Engine slot of the view.
     pub slot: usize,
-    /// Active maintenance strategy (`"Counting"` / `"EasyRerun"`).
-    pub strategy: &'static str,
     /// Fraction of the database touched by this batch, as seen by the view.
     pub delta_fraction: f64,
-    /// Maintenance cost sample in nanoseconds (clock per `clock`).
+    /// The view's maintenance time for this batch, wall nanoseconds.
     pub cost_ns: u64,
-    /// Clock source of `cost_ns` (`"thread_cpu"` / `"wall"`).
-    pub clock: &'static str,
     /// Whether the batch was a no-op for this view.
     pub skipped: bool,
     /// Rows added to / removed from the materialized result.
     pub result_added: usize,
     pub result_removed: usize,
-    /// Migration decided for this view in the policy tail, if any.
-    pub migration: Option<&'static str>,
 }
 
 /// Structured record of one `DcqEngine::apply` call.
@@ -423,6 +417,8 @@ pub struct BatchTrace {
     pub inserted: u64,
     pub deleted: u64,
     /// Phase timings, nanoseconds (wall clock — phases span threads).
+    /// `policy_ns` is the tail after the fan-out: the report fold and any
+    /// scheduled checkpoint.
     pub commit_ns: u64,
     pub fanout_ns: u64,
     pub policy_ns: u64,
@@ -434,8 +430,8 @@ pub struct BatchTrace {
 
 impl BatchTrace {
     /// Render as one JSON object (no trailing newline). Pure `std`
-    /// formatting; all fields are numbers, booleans, or `[A-Za-z_]` strings,
-    /// so no escaping is required.
+    /// formatting; all fields are numbers or booleans, so no escaping is
+    /// required.
     pub fn to_json(&self) -> String {
         let mut views = String::new();
         for (i, v) in self.views.iter().enumerate() {
@@ -443,21 +439,14 @@ impl BatchTrace {
                 views.push(',');
             }
             views.push_str(&format!(
-                "{{\"slot\":{},\"strategy\":\"{}\",\"delta_fraction\":{},\"cost_ns\":{},\
-                 \"clock\":\"{}\",\"skipped\":{},\"result_added\":{},\"result_removed\":{},\
-                 \"migration\":{}}}",
+                "{{\"slot\":{},\"delta_fraction\":{},\"cost_ns\":{},\"skipped\":{},\
+                 \"result_added\":{},\"result_removed\":{}}}",
                 v.slot,
-                v.strategy,
                 json_f64(v.delta_fraction),
                 v.cost_ns,
-                v.clock,
                 v.skipped,
                 v.result_added,
                 v.result_removed,
-                match v.migration {
-                    Some(m) => format!("\"{m}\""),
-                    None => "null".to_string(),
-                },
             ));
         }
         format!(
@@ -499,7 +488,7 @@ pub fn render_json_lines(traces: &[BatchTrace]) -> String {
 /// Consumer of per-batch traces.
 ///
 /// The engine calls [`record`](Self::record) once per `apply`, after the
-/// policy tail, from the applying thread.
+/// tail, from the applying thread.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
     fn record(&self, trace: BatchTrace);
     /// Copy out the retained traces, oldest first, without consuming them.
@@ -689,14 +678,11 @@ mod tests {
             workers: 2,
             views: vec![ViewTraceRecord {
                 slot: 0,
-                strategy: "Counting",
                 delta_fraction: 0.25,
                 cost_ns: 1500,
-                clock: "thread_cpu",
                 skipped: false,
                 result_added: 2,
                 result_removed: 0,
-                migration: None,
             }],
         }
     }
@@ -706,9 +692,8 @@ mod tests {
         let json = sample_trace(7).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"epoch\":7"));
-        assert!(json.contains("\"strategy\":\"Counting\""));
         assert!(json.contains("\"delta_fraction\":0.25"));
-        assert!(json.contains("\"migration\":null"));
+        assert!(json.contains("\"cost_ns\":1500"));
         // Balanced braces — cheap structural sanity without a JSON parser.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();

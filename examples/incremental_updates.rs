@@ -108,14 +108,13 @@ fn main() {
             recompute.as_secs_f64() / per_batch.as_secs_f64().max(1e-9)
         );
         println!(
-            "stats: {} applied, {} skipped, +{}/−{} base tuples, +{}/−{} result tuples, {} side recomputes, epoch {}",
+            "stats: {} applied, {} skipped, +{}/−{} base tuples, +{}/−{} result tuples, epoch {}",
             stats.batches_applied,
             stats.batches_skipped,
             stats.tuples_inserted,
             stats.tuples_deleted,
             stats.result_added,
             stats.result_removed,
-            stats.side_recomputes,
             view.epoch()
         );
     }

@@ -33,8 +33,7 @@ pub use dcq_server;
 pub use dcq_storage;
 
 pub use dcq_core::{
-    classify, parse_cq, parse_dcq, Atom, BatchStats, ConjunctiveQuery, CrossoverSample, Dcq,
-    DcqPlanner, MaintenanceCostModel, PlanCache,
+    classify, parse_cq, parse_dcq, Atom, ConjunctiveQuery, Dcq, DcqPlanner, PlanCache,
 };
 pub use dcq_engine::{ApplyReport, DcqEngine, PreparedDcq, ViewHandle};
 pub use dcq_incremental::DcqView;

@@ -1,18 +1,19 @@
 //! Shared fixtures for the dcqx cross-crate integration tests, and the naive
 //! reference the maintained paths are checked against.
 //!
-//! The reference ([`naive_cq`], [`naive_dcq`]) is deliberately the dumbest
-//! correct thing: backtracking nested loops over plain `Vec<Vec<Value>>`
-//! copies of the relations, and a `BTreeSet` difference.  It reads the query
-//! AST and the stored rows and **nothing else** of the system — no operator
-//! from `dcq-exec`, no `dcq-incremental`, none of `dcq-core`'s `easy`,
-//! `baseline` or `planner` — so agreeing with it is not agreeing with oneself.
+//! The reference ([`naive_cq`], [`naive_dcq`], [`naive_support`]) is
+//! deliberately the dumbest correct thing: backtracking nested loops over
+//! plain `Vec<Vec<Value>>` copies of the relations, and a `BTreeSet`
+//! difference.  It reads the query AST and the stored rows and **nothing
+//! else** of the system — no operator from `dcq-exec`, no `dcq-incremental`,
+//! none of `dcq-core`'s `easy`, `baseline` or `planner` — so agreeing with it
+//! is not agreeing with oneself.
 //! Its cost is a product of relation sizes; keep instances to a few hundred
 //! tuples.
 
 use dcq_core::query::{ConjunctiveQuery, Dcq};
 use dcq_storage::{Attr, Database, Relation, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// `Q(D)` as a set of head tuples, by backtracking nested loops: atoms are
 /// taken in body order, every stored row of an atom's relation is tried
@@ -23,6 +24,27 @@ use std::collections::BTreeSet;
 /// Panics on a relation the database does not hold or a head variable no atom
 /// binds — a broken test fixture, not an input to handle.
 pub fn naive_cq(cq: &ConjunctiveQuery, db: &Database) -> BTreeSet<Vec<Value>> {
+    let mut out = BTreeSet::new();
+    for_each_valuation(cq, db, &mut |head| {
+        out.insert(head);
+    });
+    out
+}
+
+/// The support count of every head tuple of `Q(D)`: the number of valuations
+/// of the body variables that extend it, by the same nested loops as
+/// [`naive_cq`].  Stored rows are distinct, so each consistent choice of one
+/// row per atom is exactly one valuation.  Tuples with no support are absent.
+pub fn naive_support(cq: &ConjunctiveQuery, db: &Database) -> BTreeMap<Vec<Value>, usize> {
+    let mut out = BTreeMap::new();
+    for_each_valuation(cq, db, &mut |head| {
+        *out.entry(head).or_insert(0) += 1;
+    });
+    out
+}
+
+/// Call `emit` with the head projection of every valuation of `cq` over `db`.
+fn for_each_valuation(cq: &ConjunctiveQuery, db: &Database, emit: &mut dyn FnMut(Vec<Value>)) {
     let tables: Vec<Vec<Vec<Value>>> = cq
         .atoms
         .iter()
@@ -33,10 +55,8 @@ pub fn naive_cq(cq: &ConjunctiveQuery, db: &Database) -> BTreeSet<Vec<Value>> {
             stored.iter().map(|row| row.values().to_vec()).collect()
         })
         .collect();
-    let mut out = BTreeSet::new();
     let mut bound: Vec<(&Attr, Value)> = Vec::new();
-    extend(cq, &tables, 0, &mut bound, &mut out);
-    out
+    extend(cq, &tables, 0, &mut bound, emit);
 }
 
 /// One level of the nested loop: bind atom `depth` every way the bindings so
@@ -46,7 +66,7 @@ fn extend<'q>(
     tables: &[Vec<Vec<Value>>],
     depth: usize,
     bound: &mut Vec<(&'q Attr, Value)>,
-    out: &mut BTreeSet<Vec<Value>>,
+    emit: &mut dyn FnMut(Vec<Value>),
 ) {
     let Some(atom) = cq.atoms.get(depth) else {
         let lookup = |var: &Attr| {
@@ -55,7 +75,7 @@ fn extend<'q>(
                 .1
                 .clone()
         };
-        out.insert(cq.head.iter().map(lookup).collect());
+        emit(cq.head.iter().map(lookup).collect());
         return;
     };
     for row in &tables[depth] {
@@ -73,7 +93,7 @@ fn extend<'q>(
             }
         }
         if consistent {
-            extend(cq, tables, depth + 1, bound, out);
+            extend(cq, tables, depth + 1, bound, emit);
         }
         bound.truncate(mark);
     }

@@ -7,20 +7,23 @@
 //!   batches, asserting after every batch that *every* view is byte-identical to
 //!   the vanilla baseline recomputation over the engine's database of record;
 //! * a **deterministic long-run test** streaming 120 generator-produced batches
-//!   through an engine with five views — the ≥100-batch acceptance gate;
+//!   through an engine with three views, also checked against
+//!   `dcqx::testkit::naive_dcq` every 20 batches — the ≥100-batch acceptance
+//!   gate;
 //! * regression tests for the prepared-plan cache (re-registering an identical
 //!   shape performs zero re-classifications) and for epoch bookkeeping across
 //!   skipped batches (skipped then relevant replays correctly).
 
 use dcq_core::baseline::{baseline_dcq, CqStrategy};
 use dcq_core::parse::parse_dcq;
-use dcq_core::planner::IncrementalStrategy;
 use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{graph_query, update_workload, Graph, GraphQueryId, TripleRuleMix, UpdateSpec};
 use dcq_engine::DcqEngine;
 use dcq_storage::row::int_row;
-use dcq_storage::{Database, DeltaBatch, Relation};
+use dcq_storage::{Database, DeltaBatch, Relation, Value};
+use dcqx::testkit::naive_dcq;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// The registered views: a mix of difference-linear and hard DCQs over
 /// overlapping relations, so one batch fans out to several maintenance engines.
@@ -123,8 +126,9 @@ proptest! {
 }
 
 /// The ≥100-batch acceptance run: 120 generated batches against graph-shaped
-/// data, five views (easy and hard, auto- and force-registered) on one engine,
-/// every view checked after every batch.
+/// data, three views (easy and hard) on one engine, every view checked against
+/// the baseline after every batch and against the naive reference every 20
+/// batches.
 #[test]
 fn long_workload_keeps_every_view_exact_over_120_batches() {
     let data = build_dataset(
@@ -135,29 +139,11 @@ fn long_workload_keeps_every_view_exact_over_120_batches() {
         9,
     );
     let mut engine = DcqEngine::with_database(data.db.clone());
-    let mut handles = vec![
+    let handles = [
         engine.register_dcq(graph_query(GraphQueryId::QG3)).unwrap(),
         engine.register_dcq(graph_query(GraphQueryId::QG5)).unwrap(),
         engine.register_dcq(graph_query(GraphQueryId::QG1)).unwrap(),
     ];
-    // Force the rerun arm too, on an easy and a hard query: both engines
-    // must stay exact.
-    handles.push(
-        engine
-            .register_with(
-                graph_query(GraphQueryId::QG3),
-                IncrementalStrategy::EasyRerun,
-            )
-            .unwrap(),
-    );
-    handles.push(
-        engine
-            .register_with(
-                graph_query(GraphQueryId::QG5),
-                IncrementalStrategy::EasyRerun,
-            )
-            .unwrap(),
-    );
 
     let spec = UpdateSpec::new(120, 6, &["Graph", "Triple"]);
     let batches = update_workload(engine.database(), &spec, 2026);
@@ -171,10 +157,23 @@ fn long_workload_keeps_every_view_exact_over_120_batches() {
             assert_eq!(
                 engine.result(*handle).unwrap().sorted_rows(),
                 expected.sorted_rows(),
-                "{} under {:?} diverged at batch {step}",
-                view.dcq().q1.name,
-                view.strategy()
+                "{} diverged at batch {step}",
+                view.dcq().q1.name
             );
+            if step % 20 == 19 {
+                let maintained: BTreeSet<Vec<Value>> = engine
+                    .result(*handle)
+                    .unwrap()
+                    .iter()
+                    .map(|row| row.values().to_vec())
+                    .collect();
+                assert_eq!(
+                    maintained,
+                    naive_dcq(view.dcq(), engine.database()),
+                    "{} diverged from the naive reference at batch {step}",
+                    view.dcq().q1.name
+                );
+            }
         }
     }
     assert_eq!(engine.epoch(), 120);
@@ -322,11 +321,7 @@ fn distinct_family_shares_counting_sides() {
              EXCEPT Graph(n2, n3), Graph(n3, n4), {closer}"
         ))
         .unwrap();
-        handles.push(
-            engine
-                .register_with(dcq, IncrementalStrategy::Counting)
-                .unwrap(),
-        );
+        handles.push(engine.register_dcq(dcq).unwrap());
     }
     assert_eq!(engine.distinct_view_count(), 8, "all shapes are distinct");
     let pool = engine.counting_pool_stats();

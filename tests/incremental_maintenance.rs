@@ -3,12 +3,15 @@
 //! Three complementary suites:
 //!
 //! * a **property test** applying proptest-generated insert/delete batches to
-//!   engine-hosted single views of easy and hard DCQs under *both* maintenance
-//!   strategies, asserting after every batch that the maintained result is
-//!   byte-identical to the vanilla baseline recomputation;
+//!   engine-hosted single views of easy and hard DCQs, asserting after every
+//!   batch that the maintained result is byte-identical to the vanilla baseline
+//!   recomputation and equal to `dcqx::testkit::naive_dcq`, and that every
+//!   support count both sides' `CountingCq`s hold equals
+//!   `dcqx::testkit::naive_support`, a brute-force count of valuations;
 //! * a **deterministic long-run test** streaming 120 generator-produced batches
 //!   (`dcq_datagen::update_workload`) through easy and hard views over a synthetic
-//!   graph, checking the same invariant — this is the ≥100-batch acceptance gate;
+//!   graph, checking them against the baseline after every batch and against
+//!   `naive_dcq` every 20 batches — this is the ≥100-batch acceptance gate;
 //! * a **reference check** of the default registration path (`register_dcq`:
 //!   counting, for every class) on the difference-linear `Q_G1`–`Q_G4` and
 //!   `Q_G6` against `dcqx::testkit::naive_dcq` — nested loops and a set
@@ -26,15 +29,16 @@ use dcq_core::parse::parse_dcq;
 use dcq_core::planner::IncrementalStrategy;
 use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{graph_query, update_workload, Graph, GraphQueryId, TripleRuleMix, UpdateSpec};
-use dcq_engine::DcqEngine;
+use dcq_engine::{DcqEngine, ViewHandle};
+use dcq_incremental::CountingCq;
 use dcq_storage::row::int_row;
-use dcq_storage::{Database, DeltaBatch, Relation, Value};
-use dcqx::testkit::naive_dcq;
+use dcq_storage::{Database, DeltaBatch, Relation, Row, SharedDatabase, Value};
+use dcqx::testkit::{naive_dcq, naive_support};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// The maintained queries: a mix of difference-linear and hard DCQs so both
-/// maintenance engines are exercised on every generated update sequence.
+/// The maintained queries: a mix of difference-linear and hard DCQs, every
+/// one maintained by counting.
 const QUERIES: &[(&str, &str)] = &[
     // Difference-linear: ternary minus triangle (Q_G3 shape).
     (
@@ -93,11 +97,42 @@ fn ops_to_batch(ops: &[(u8, i64, i64, i64)], all_inserts: bool) -> DeltaBatch {
     batch
 }
 
+/// A view's maintained result as value tuples, the shape `naive_dcq` returns.
+fn maintained(engine: &DcqEngine, handle: ViewHandle) -> BTreeSet<Vec<Value>> {
+    engine
+        .result(handle)
+        .unwrap()
+        .iter()
+        .map(|row| row.values().to_vec())
+        .collect()
+}
+
+/// Every support count `side` holds equals the brute-force count of
+/// valuations, and it holds no tuple the brute force does not.
+fn audit_support(side: &CountingCq, store: &SharedDatabase, at: &str) {
+    let expected = naive_support(side.query(), store.database());
+    assert_eq!(
+        side.counts_ids().len(),
+        expected.len(),
+        "{}: supported tuples differ {at}",
+        side.query().name
+    );
+    for (tuple, count) in &expected {
+        assert_eq!(
+            side.count(&Row::new(tuple.clone()), store),
+            *count as i64,
+            "{}: support of {tuple:?} {at}",
+            side.query().name
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Maintained views stay byte-identical to full recomputation over randomized
-    /// insert/delete batch sequences, for easy and hard DCQs under both strategies.
+    /// Maintained views stay byte-identical to full recomputation over
+    /// randomized insert/delete batch sequences, for easy and hard DCQs, and
+    /// the counting sides' support counts stay equal to the brute-force count.
     #[test]
     fn maintenance_equals_recomputation(
         initial in proptest::collection::vec((0u8..5, 0i64..6, 0i64..6, 0i64..6), 0..60),
@@ -107,22 +142,38 @@ proptest! {
         ),
     ) {
         for (label, src) in QUERIES {
-            for strategy in [IncrementalStrategy::EasyRerun, IncrementalStrategy::Counting] {
-                let mut engine = DcqEngine::with_database(initial_db(&initial));
-                let dcq = parse_dcq(src).unwrap();
-                let handle = engine.register_with(dcq, strategy).unwrap();
-                for (step, ops) in batches.iter().enumerate() {
-                    let batch = ops_to_batch(ops, false);
-                    engine.apply(&batch).unwrap();
-                    let view = engine.view(handle).unwrap();
-                    let expected =
-                        baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
-                    prop_assert_eq!(
-                        engine.result(handle).unwrap().sorted_rows(),
-                        expected.sorted_rows(),
-                        "{} diverged under {:?} at batch {}",
-                        label, strategy, step
-                    );
+            let dcq = parse_dcq(src).unwrap();
+            let mut engine = DcqEngine::with_database(initial_db(&initial));
+            let handle = engine.register_dcq(dcq.clone()).unwrap();
+            // The audited sides, each over its own head order.
+            let mut store = SharedDatabase::new(initial_db(&initial));
+            let mut sides = [&dcq.q1, &dcq.q2].map(|cq| {
+                CountingCq::from_store(cq.clone(), cq.head_schema(), &mut store).unwrap()
+            });
+            for side in &sides {
+                audit_support(side, &store, "at registration");
+            }
+            for (step, ops) in batches.iter().enumerate() {
+                let batch = ops_to_batch(ops, false);
+                engine.apply(&batch).unwrap();
+                let expected =
+                    baseline_dcq(&dcq, engine.database(), CqStrategy::Vanilla).unwrap();
+                prop_assert_eq!(
+                    engine.result(handle).unwrap().sorted_rows(),
+                    expected.sorted_rows(),
+                    "{} diverged from the baseline at batch {}",
+                    label, step
+                );
+                prop_assert_eq!(
+                    maintained(&engine, handle),
+                    naive_dcq(&dcq, engine.database()),
+                    "{} diverged from the naive reference at batch {}",
+                    label, step
+                );
+                let applied = store.apply_batch(&batch).unwrap();
+                for side in &mut sides {
+                    side.apply_batch(&applied, &store);
+                    audit_support(side, &store, &format!("after batch {step} of {label}"));
                 }
             }
         }
@@ -130,7 +181,8 @@ proptest! {
 }
 
 /// The ≥100-batch acceptance run: 120 generated batches against graph-shaped data,
-/// easy (Q_G3) and hard (Q_G5) queries, both strategies, checked after every batch.
+/// easy (Q_G3) and hard (Q_G5) queries, checked against the baseline after
+/// every batch and against the naive reference every 20 batches.
 #[test]
 fn long_workload_stays_exact_over_120_batches() {
     let data = build_dataset(
@@ -140,14 +192,9 @@ fn long_workload_stays_exact_over_120_batches() {
         TripleRuleMix::balanced(),
         9,
     );
-    for (id, strategy) in [
-        (GraphQueryId::QG3, IncrementalStrategy::EasyRerun),
-        (GraphQueryId::QG3, IncrementalStrategy::Counting),
-        (GraphQueryId::QG5, IncrementalStrategy::Counting),
-        (GraphQueryId::QG5, IncrementalStrategy::EasyRerun),
-    ] {
+    for id in [GraphQueryId::QG3, GraphQueryId::QG5] {
         let mut engine = DcqEngine::with_database(data.db.clone());
-        let handle = engine.register_with(graph_query(id), strategy).unwrap();
+        let handle = engine.register_dcq(graph_query(id)).unwrap();
         let spec = UpdateSpec::new(120, 6, &["Graph", "Triple"]);
         let batches = update_workload(engine.database(), &spec, 2026);
         assert_eq!(batches.len(), 120);
@@ -159,9 +206,17 @@ fn long_workload_stays_exact_over_120_batches() {
             assert_eq!(
                 engine.result(handle).unwrap().sorted_rows(),
                 expected.sorted_rows(),
-                "{} under {strategy:?} diverged at batch {step}",
+                "{} diverged at batch {step}",
                 id.name()
             );
+            if step % 20 == 19 {
+                assert_eq!(
+                    maintained(&engine, handle),
+                    naive_dcq(view.dcq(), engine.database()),
+                    "{} diverged from the naive reference at batch {step}",
+                    id.name()
+                );
+            }
         }
         let stats = engine.view(handle).unwrap().stats();
         assert_eq!(stats.batches_applied + stats.batches_skipped, 120);
@@ -198,18 +253,12 @@ fn default_registration_matches_the_naive_reference_after_every_batch() {
             let handle = engine.register_dcq(graph_query(id)).unwrap();
             let view = engine.view(handle).unwrap();
             assert!(view.plan().classification.is_difference_linear());
-            assert_eq!(view.active_strategy(), IncrementalStrategy::Counting);
+            assert_eq!(view.strategy(), IncrementalStrategy::Counting);
             let check = |engine: &DcqEngine, at: &str| {
-                let maintained: BTreeSet<Vec<Value>> = engine
-                    .result(handle)
-                    .unwrap()
-                    .iter()
-                    .map(|row| row.values().to_vec())
-                    .collect();
                 let dcq = engine.view(handle).unwrap().dcq();
                 let reference = naive_dcq(dcq, engine.database());
                 assert_eq!(
-                    maintained,
+                    maintained(engine, handle),
                     reference,
                     "{} at {workers} worker(s) diverged from the naive reference {at}",
                     id.name()
@@ -233,9 +282,9 @@ fn default_registration_matches_the_naive_reference_after_every_batch() {
     }
 }
 
-/// The planner's automatic registration (counting, whatever the class) and a
-/// rerun view named at registration both survive a mixed workload that also
-/// touches unreferenced relations.
+/// The planner's automatic registration (counting, whatever the class) of an
+/// easy and a hard view survives a mixed workload that also touches
+/// unreferenced relations.
 #[test]
 fn auto_registered_views_skip_unreferenced_relations() {
     let mut db = Database::new();
@@ -255,27 +304,20 @@ fn auto_registered_views_skip_unreferenced_relations() {
         .unwrap();
 
     let mut engine = DcqEngine::with_database(db);
-    let auto = engine.register_dcq(graph_query(GraphQueryId::QG3)).unwrap();
-    let rerun = engine
-        .register_with(
-            graph_query(GraphQueryId::QG3),
-            IncrementalStrategy::EasyRerun,
-        )
-        .unwrap();
-    assert_eq!(
-        engine.view(auto).unwrap().strategy(),
-        IncrementalStrategy::Counting
-    );
-    assert_eq!(
-        engine.view(rerun).unwrap().strategy(),
-        IncrementalStrategy::EasyRerun
-    );
+    let easy = engine.register_dcq(graph_query(GraphQueryId::QG3)).unwrap();
+    let hard = engine.register_dcq(graph_query(GraphQueryId::QG5)).unwrap();
+    for handle in [easy, hard] {
+        assert_eq!(
+            engine.view(handle).unwrap().strategy(),
+            IncrementalStrategy::Counting
+        );
+    }
 
     let mut batch = DeltaBatch::new();
     batch.insert("Unrelated", int_row([8]));
     let report = engine.apply(&batch).unwrap();
     assert_eq!(report.views_skipped, 2);
-    for handle in [auto, rerun] {
+    for handle in [easy, hard] {
         assert_eq!(engine.view(handle).unwrap().stats().batches_skipped, 1);
     }
 
@@ -284,12 +326,16 @@ fn auto_registered_views_skip_unreferenced_relations() {
     batch.delete("Graph", int_row([2, 3]));
     let report = engine.apply(&batch).unwrap();
     assert_eq!(report.views_applied, 2);
-    for handle in [auto, rerun] {
+    for handle in [easy, hard] {
         let view = engine.view(handle).unwrap();
         let expected = baseline_dcq(view.dcq(), engine.database(), CqStrategy::Vanilla).unwrap();
         assert_eq!(
             engine.result(handle).unwrap().sorted_rows(),
             expected.sorted_rows()
+        );
+        assert_eq!(
+            maintained(&engine, handle),
+            naive_dcq(view.dcq(), engine.database())
         );
     }
 }

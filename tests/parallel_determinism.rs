@@ -1,32 +1,29 @@
 //! Parallel fan-out ≡ sequential fan-out, bit for bit.
 //!
-//! The tentpole claim of the threading refactor is that the worker count of
-//! `DcqEngine::apply` is *pure scheduling*: at any width, the engine produces
-//! identical results, identical `EngineStats`, identical per-view maintenance
-//! counters, and identical registry/pool accounting.  Two mechanisms make that
-//! true and both are exercised here at their adversarial points:
+//! The worker count of `DcqEngine::apply` is *pure scheduling*: at any width,
+//! the engine produces identical results, identical `EngineStats`, identical
+//! per-view maintenance counters, and identical registry/pool accounting.  The
+//! mechanism that makes that true is exercised at its adversarial point:
+//! pooled counting sides are folded **once per epoch** by whichever worker
+//! locks them first, and the fold is a pure function of `(state, batch)` — so
+//! the `Q_G5` family (several distinct views, one shared positive side) is
+//! registered to maximize cross-worker sharing, and the two family heads are
+//! registered twice so shared handles ride along.
 //!
-//! * pooled counting sides are folded **once per epoch** by whichever worker
-//!   locks them first, and the fold is a pure function of `(state, batch)` —
-//!   so the `Q_G5` family (eight distinct views, one shared positive side) is
-//!   registered to maximize cross-worker sharing;
-//! * the adaptive policy runs in the sequential tail on delta-fraction EWMAs
-//!   only (cost EWMAs are measured but never drive decisions), so
-//!   policy-triggered migrations fire on the same batch at every width — the
-//!   suite drives views across the crossover in both directions *and* forces
-//!   manual mid-stream migrations right after touching batches.
+//! What the file checks:
 //!
-//! The property test runs 13 schedules × 8 batches = 104 generated batches
-//! (≥ the 100-batch acceptance gate), over both the `Q_G3` (Triple-based,
-//! difference-linear) and `Q_G5` (Graph-based, hard) families — counting by
-//! default, plus a `Q_G3` view pinned to the rerun arm — and checks the
-//! parallel engine against the sequential engine *and* against fresh
-//! re-evaluation after every batch.
+//! * a property test over 13 schedules × 8 batches = 104 generated batches
+//!   (≥ the 100-batch acceptance gate), over both the `Q_G3` (Triple-based,
+//!   difference-linear) and `Q_G5` (Graph-based, hard) families, comparing a
+//!   4-worker engine against a 1-worker engine *and* against fresh
+//!   re-evaluation after every batch, then checking that teardown drains
+//!   shared state and keeps the counting telemetry totals;
+//! * a fixed stream replayed at worker widths 2, 3, 9 and 64 against width 1;
+//! * a fixed stream replayed at fold partition counts K ∈ {2, 3, 8} (K follows
+//!   the worker width) against K = 1.
 
 use dcq_core::baseline::{baseline_dcq, CqStrategy};
-use dcq_core::heuristics::MaintenanceCostModel;
 use dcq_core::parse::parse_dcq;
-use dcq_core::planner::IncrementalStrategy;
 use dcq_core::Dcq;
 use dcq_datagen::{graph_query, GraphQueryId};
 use dcq_engine::{DcqEngine, EngineStats, ViewHandle};
@@ -115,53 +112,17 @@ fn ops_to_batch(ops: &[(u8, i64, i64, i64)]) -> DeltaBatch {
     batch
 }
 
-/// Register the whole panel on one engine: default (counting) views for every
-/// standing query, one rerun view named explicitly, plus adaptive twins for
-/// the two family heads (kept last: callers index them from the end).
+/// Register the whole panel on one engine: one view per standing query, plus
+/// a second handle on each of the two family heads (sharing their views).
 fn register_panel(engine: &mut DcqEngine) -> Vec<ViewHandle> {
     let mut handles = Vec::new();
     for dcq in standing_queries() {
         handles.push(engine.register_dcq(dcq).unwrap());
     }
-    handles.push(
-        engine
-            .register_with(
-                graph_query(GraphQueryId::QG3),
-                IncrementalStrategy::EasyRerun,
-            )
-            .unwrap(),
-    );
-    handles.push(
-        engine
-            .register_adaptive(graph_query(GraphQueryId::QG3))
-            .unwrap(),
-    );
-    handles.push(
-        engine
-            .register_adaptive(graph_query(GraphQueryId::QG5))
-            .unwrap(),
-    );
+    for id in [GraphQueryId::QG3, GraphQueryId::QG5] {
+        handles.push(engine.register_dcq(graph_query(id)).unwrap());
+    }
     handles
-}
-
-/// A cost model aggressive enough that the generated schedules cross it in
-/// both directions.  Decisions depend only on observed delta fractions — never
-/// on measured time — so they are identical at every worker width.
-fn jumpy_model() -> MaintenanceCostModel {
-    MaintenanceCostModel {
-        crossover_fraction: 0.15,
-        hysteresis: 0.1,
-        min_observations: 2,
-        ..MaintenanceCostModel::default()
-    }
-}
-
-fn opposite(active: IncrementalStrategy) -> IncrementalStrategy {
-    match active {
-        IncrementalStrategy::EasyRerun => IncrementalStrategy::Counting,
-        IncrementalStrategy::Counting => IncrementalStrategy::EasyRerun,
-        IncrementalStrategy::Adaptive => unreachable!("active kinds are concrete"),
-    }
 }
 
 /// Every observable the two engines must agree on, batch by batch.
@@ -222,23 +183,6 @@ fn assert_engines_identical(
         );
         assert_eq!(sv.stats(), pv.stats(), "{context}: view stats diverged");
         assert_eq!(sv.epoch(), pv.epoch());
-        assert_eq!(sv.active_strategy(), pv.active_strategy());
-        // BatchStats carry timing EWMAs (not comparable across runs); the
-        // decision-driving fields must match exactly.
-        let (ss, ps) = (
-            sequential.batch_stats(*s).unwrap(),
-            parallel.batch_stats(*p).unwrap(),
-        );
-        assert_eq!(ss.is_some(), ps.is_some());
-        if let (Some(ss), Some(ps)) = (ss, ps) {
-            assert_eq!(
-                ss.ewma_delta_fraction.to_bits(),
-                ps.ewma_delta_fraction.to_bits()
-            );
-            assert_eq!(ss.observed, ps.observed);
-            assert_eq!(ss.since_migration, ps.since_migration);
-            assert_eq!(ss.cost_samples, ps.cost_samples);
-        }
     }
 }
 
@@ -247,8 +191,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(13))]
 
     /// One generated schedule, two engines: workers = 1 vs workers = 4.  After
-    /// every batch (and after every forced mid-stream migration) the engines
-    /// must agree on every observable, and the parallel engine must agree with
+    /// every batch the engines must agree on every observable, and the parallel engine must agree with
     /// fresh re-evaluation over its database of record.
     #[test]
     fn parallel_apply_is_bit_identical_to_sequential(
@@ -258,7 +201,6 @@ proptest! {
             proptest::collection::vec((0u8..3, 0i64..6, 0i64..6, 0i64..6), 1..10),
             8..9
         ),
-        picks in proptest::collection::vec(0u64..12, 8..9),
     ) {
         let db = initial_db(&graph, &triples);
         let mut sequential = DcqEngine::with_database(db.clone());
@@ -266,34 +208,17 @@ proptest! {
         sequential.set_workers(1);
         // Width 4 also splits every counting fold into K = 4 partitions.
         parallel.set_workers(4);
-        sequential.set_cost_model(jumpy_model());
-        parallel.set_cost_model(jumpy_model());
         let handles_seq = register_panel(&mut sequential);
         let handles_par = register_panel(&mut parallel);
         assert_engines_identical(
             &sequential, &parallel, &handles_seq, &handles_par, "registration",
         );
 
-        let adaptive_slots = [handles_seq.len() - 2, handles_seq.len() - 1];
         for (step, ops) in batches.iter().enumerate() {
             let batch = ops_to_batch(ops);
             let report_seq = sequential.apply(&batch).unwrap();
             let report_par = parallel.apply(&batch).unwrap();
             prop_assert_eq!(report_seq, report_par, "apply reports diverged at batch {}", step);
-
-            // Forced mid-stream migration right after a (possibly touching)
-            // batch, on both engines identically — on top of whatever the
-            // policy already migrated this epoch.
-            let pick = picks[step % picks.len()] as usize;
-            if pick < adaptive_slots.len() * 3 {
-                let slot = adaptive_slots[pick % adaptive_slots.len()];
-                let target = opposite(
-                    sequential.view(handles_seq[slot]).unwrap().active_strategy(),
-                );
-                let migrated_seq = sequential.migrate(handles_seq[slot], target).unwrap();
-                let migrated_par = parallel.migrate(handles_par[slot], target).unwrap();
-                prop_assert_eq!(migrated_seq, migrated_par);
-            }
 
             assert_engines_identical(
                 &sequential,
@@ -354,7 +279,6 @@ fn any_worker_width_matches_sequential() {
     );
     let mut reference = DcqEngine::with_database(db.clone());
     reference.set_workers(1);
-    reference.set_cost_model(jumpy_model());
     let reference_handles = register_panel(&mut reference);
 
     let batches: Vec<DeltaBatch> = (0..6i64)
@@ -376,7 +300,6 @@ fn any_worker_width_matches_sequential() {
     for workers in [2, 3, 9, 64] {
         let mut engine = DcqEngine::with_database(db.clone());
         engine.set_workers(workers);
-        engine.set_cost_model(jumpy_model());
         let handles = register_panel(&mut engine);
         for batch in &batches {
             engine.apply(batch).unwrap();
@@ -393,9 +316,8 @@ fn any_worker_width_matches_sequential() {
 
 /// The fold partition count K follows the worker width and is pure scheduling
 /// too: K ∈ {1, 2, 3, 8} partitioned counting folds over the full panel
-/// (including the eight-view one-pooled-side `Q_G5` family) produce identical
-/// observables, with forced mid-stream migrations landing identically at
-/// every K.
+/// (including the one-pooled-side `Q_G5` family) produce identical
+/// observables.
 #[test]
 fn any_fold_partition_count_matches_sequential() {
     let db = initial_db(
@@ -427,20 +349,10 @@ fn any_fold_partition_count_matches_sequential() {
     let run = |partitions: usize| -> (DcqEngine, Vec<ViewHandle>) {
         let mut engine = DcqEngine::with_database(db.clone());
         engine.set_workers(partitions);
-        engine.set_cost_model(jumpy_model());
         let handles = register_panel(&mut engine);
         assert_eq!(engine.workers(), partitions);
-        let adaptive_slots = [handles.len() - 2, handles.len() - 1];
-        for (step, batch) in batches.iter().enumerate() {
+        for batch in &batches {
             engine.apply(batch).unwrap();
-            // Forced migrations right after touching batches: migrated views
-            // must inherit the partition count, and the rebuilt side must land
-            // identically at every K.
-            if step == 2 || step == 5 {
-                let slot = adaptive_slots[step % 2];
-                let target = opposite(engine.view(handles[slot]).unwrap().active_strategy());
-                engine.migrate(handles[slot], target).unwrap();
-            }
         }
         (engine, handles)
     };

@@ -17,7 +17,7 @@
 //!   refcounting or maintenance corrupts several views at once.
 //!
 //! The property test drives all of that with proptest-generated insert/delete
-//! batches on one engine hosting every query (counting forced), asserting after
+//! batches on one engine hosting every query, asserting after
 //! every batch that every view is byte-identical to the vanilla baseline over
 //! the engine's database of record, and equal to `dcqx::testkit::naive_dcq`,
 //! nested loops that share no operator with the plans the views maintain; a
@@ -26,7 +26,6 @@
 
 use dcq_core::baseline::{baseline_dcq, CqStrategy};
 use dcq_core::parse::parse_dcq;
-use dcq_core::planner::IncrementalStrategy;
 use dcq_engine::{DcqEngine, ViewHandle};
 use dcq_storage::row::int_row;
 use dcq_storage::{Database, DeltaBatch, Relation, Value};
@@ -96,8 +95,8 @@ fn result_set(engine: &DcqEngine, handle: ViewHandle) -> BTreeSet<Vec<Value>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One engine, every self-join/repeated-variable query registered (counting
-    /// forced, overlapping registry entries): after every randomized batch,
+    /// One engine, every self-join/repeated-variable query registered
+    /// (overlapping registry entries): after every randomized batch,
     /// every view equals fresh re-evaluation over the database of record.
     #[test]
     fn shared_index_views_equal_fresh_reevaluation(
@@ -111,7 +110,7 @@ proptest! {
         let mut handles = Vec::new();
         for (label, src) in QUERIES {
             let handle = engine
-                .register_with(parse_dcq(src).unwrap(), IncrementalStrategy::Counting)
+                .register_dcq(parse_dcq(src).unwrap())
                 .unwrap();
             handles.push((*label, handle));
         }
@@ -180,27 +179,20 @@ fn registry_refcounts_survive_registration_churn() {
     let mut engine = DcqEngine::with_database(db);
 
     let closure = engine
-        .register_with(
-            parse_dcq("Q(x, z) :- R(x, y), R(y, z) EXCEPT R(x, z)").unwrap(),
-            IncrementalStrategy::Counting,
-        )
+        .register_dcq(parse_dcq("Q(x, z) :- R(x, y), R(y, z) EXCEPT R(x, z)").unwrap())
         .unwrap();
     let with_closure = engine.index_count();
     assert!(with_closure > 0);
     // An α-renamed duplicate shares the maintained view (and its indexes).
     let renamed = engine
-        .register_with(
-            parse_dcq("P(a, c) :- R(a, b), R(b, c) EXCEPT R(a, c)").unwrap(),
-            IncrementalStrategy::Counting,
-        )
+        .register_dcq(parse_dcq("P(a, c) :- R(a, b), R(b, c) EXCEPT R(a, c)").unwrap())
         .unwrap();
     assert_eq!(engine.index_count(), with_closure);
     // A distinct shape overlapping the same relation reuses entries where the
     // probe signatures agree.
     let triangle = engine
-        .register_with(
+        .register_dcq(
             parse_dcq("Q(x, y, z) :- R(x, y), R(y, z), R(z, x) EXCEPT S(x, y), S(y, z)").unwrap(),
-            IncrementalStrategy::Counting,
         )
         .unwrap();
     let with_all = engine.index_count();

@@ -10,8 +10,8 @@
 //!   covering every layer (engine, storage registry, counting subsystem,
 //!   pool, plan cache) after a mixed insert/delete workload;
 //! * per-batch [`BatchTrace`]s account phases and per-view records sanely
-//!   (monotone epochs, one record per view, a known clock label, phase sums
-//!   that the rewired benches can use as timings);
+//!   (monotone epochs, one record per view, delta fractions in `[0, 1]`,
+//!   phase sums that the benchmark can use as timings);
 //! * a replacement [`TraceSink`] receives exactly what the default ring did,
 //!   and ring capacity bounds retention;
 //! * the per-batch bookkeeping the engine adds when telemetry is on — counter
@@ -24,7 +24,6 @@
 use dcq_datagen::datasets::build_dataset;
 use dcq_datagen::{graph_query, update_workload, Graph, GraphQueryId, TripleRuleMix, UpdateSpec};
 use dcq_engine::DcqEngine;
-use dcq_incremental::IncrementalStrategy;
 use dcq_storage::{Database, DeltaBatch};
 use dcq_telemetry::{BatchTrace, MetricsRegistry, RingTraceSink, ViewTraceRecord};
 use std::time::Instant;
@@ -41,20 +40,14 @@ fn dataset() -> Database {
     .db
 }
 
-/// An engine with one rerun-leaning and one counting view registered.
+/// An engine with a difference-linear (`Q_G3`) and a hard (`Q_G5`) view.
 fn engine_with_two_views(db: &Database) -> DcqEngine {
     let mut engine = DcqEngine::with_database(db.clone());
     engine
-        .register_with(
-            graph_query(GraphQueryId::QG3),
-            IncrementalStrategy::EasyRerun,
-        )
+        .register_dcq(graph_query(GraphQueryId::QG3))
         .expect("register QG3");
     engine
-        .register_with(
-            graph_query(GraphQueryId::QG5),
-            IncrementalStrategy::Counting,
-        )
+        .register_dcq(graph_query(GraphQueryId::QG5))
         .expect("register QG5");
     engine
 }
@@ -214,12 +207,6 @@ fn traces_account_phases_and_views_sanely() {
         assert!(trace.commit_ns + trace.fanout_ns + trace.policy_ns > 0);
         for record in &trace.views {
             assert!(record.slot < 2);
-            assert!(matches!(record.strategy, "EasyRerun" | "Counting"));
-            assert!(
-                matches!(record.clock, "thread_cpu" | "wall"),
-                "unknown clock label {}",
-                record.clock
-            );
             assert!(record.delta_fraction >= 0.0 && record.delta_fraction <= 1.0);
         }
     }
@@ -301,14 +288,11 @@ fn per_batch_bookkeeping_is_within_five_percent_of_apply() {
                 view_cost.observe(1_000);
                 ViewTraceRecord {
                     slot,
-                    strategy: "Counting",
                     delta_fraction: 0.01,
                     cost_ns: 1_000,
-                    clock: "thread_cpu",
                     skipped: false,
                     result_added: 3,
                     result_removed: 2,
-                    migration: None,
                 }
             })
             .collect();
